@@ -253,9 +253,7 @@ def take_limit(
         last_step=float(last_step.max(initial=0.0)),
         converged=bool(converged.all()),
     )
-    vals = result if xs.ndim != 0 else result[0]
-    if xs.ndim != 0:
-        vals = result.reshape(xs.shape + (space.dim,))
+    vals = result[0] if xs.ndim == 0 else result.reshape(xs.shape + (space.dim,))
     return vals, diag
 
 
@@ -303,11 +301,14 @@ class LimitFunction(FunctionHandle):
 
 @dataclass(frozen=True)
 class IterationControl:
-    """Shared knobs for a decomposition's three iterations."""
+    """Shared knobs for a decomposition's three iterations.
+
+    max_n caps the base-2 iterations; the base-k^2 quadratic iteration is
+    capped at min(max_n, DEFAULT_MAX_N_QUADRATIC).
+    """
 
     tol: float = DEFAULT_TOL
     max_n: int = DEFAULT_MAX_N
-    max_n_quadratic: int = DEFAULT_MAX_N_QUADRATIC
     probes: np.ndarray | None = None
 
     def probe_points(self) -> np.ndarray:
@@ -393,7 +394,7 @@ def decompose_full(
         j_q,
         params=params,
         tol=ctrl.tol,
-        max_n=ctrl.max_n_quadratic,
+        max_n=min(ctrl.max_n, DEFAULT_MAX_N_QUADRATIC),
     )
     Q = LimitFunction(spec_q, even)
     A, C = decompose_odd(odd, j_a, j_c, ctrl)

@@ -21,6 +21,7 @@ the point of having them both.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,8 +71,10 @@ class PowerBound:
             raise InvalidInputError(f"unknown control form {self.form!r}")
         if not (self.theta >= 0.0 and np.isfinite(self.theta)):
             raise InvalidInputError(f"theta must be finite and >= 0, got {self.theta!r}")
-        if self.r < 0 or self.s < 0:
-            raise InvalidInputError("exponents must be nonnegative")
+        if not (0.0 <= self.r < np.inf and 0.0 <= self.s < np.inf):
+            raise InvalidInputError(
+                f"exponents must be finite and >= 0, got r={self.r!r}, s={self.s!r}"
+            )
         if self.form == "constant" and (self.r != 0 or self.s != 0):
             raise InvalidInputError("constant form takes no exponents")
         if self.form == "sum" and self.r == 0 and self.s == 0:
@@ -127,6 +130,11 @@ def select_direction(exponent: float, critical: float) -> Direction:
     return Direction.CONTRACT if exponent > critical else Direction.EXPAND
 
 
+def _select_quadratic(phi: PowerBound) -> Direction:
+    e_y = phi.y_slot_exponent()
+    return Direction.EXPAND if e_y is None else select_direction(e_y, CRITICAL_QUADRATIC)
+
+
 def _select_for(phi: PowerBound, critical: float) -> Direction:
     dirs = {select_direction(e, critical) for e in phi.exponents()}
     if len(dirs) != 1:
@@ -137,6 +145,14 @@ def _select_for(phi: PowerBound, critical: float) -> Direction:
     return dirs.pop()
 
 
+# One selector per slot of (j_quadratic, j_additive, j_cubic).
+_SLOT_SELECTORS = (
+    _select_quadratic,
+    functools.partial(_select_for, critical=CRITICAL_ADDITIVE),
+    functools.partial(_select_for, critical=CRITICAL_CUBIC),
+)
+
+
 def select_directions(phi: PowerBound) -> tuple[Direction, Direction, Direction]:
     """(j_quadratic, j_additive, j_cubic) for a power control.
 
@@ -144,11 +160,7 @@ def select_directions(phi: PowerBound) -> tuple[Direction, Direction, Direction]
     either direction; EXPAND is reported for definiteness.  Raises
     CriticalExponentError if any component lacks a convergent direction.
     """
-    e_y = phi.y_slot_exponent()
-    j_q = Direction.EXPAND if e_y is None else select_direction(e_y, CRITICAL_QUADRATIC)
-    j_a = _select_for(phi, CRITICAL_ADDITIVE)
-    j_c = _select_for(phi, CRITICAL_CUBIC)
-    return (j_q, j_a, j_c)
+    return tuple(select(phi) for select in _SLOT_SELECTORS)
 
 
 def _maybe_directions(phi: PowerBound) -> tuple[Direction | None, ...]:
@@ -158,22 +170,13 @@ def _maybe_directions(phi: PowerBound) -> tuple[Direction | None, ...]:
     under a |y|^3 control) even when another component's series is critical;
     using a None slot raises at evaluation time.
     """
-
-    def attempt(select):
+    out = []
+    for select in _SLOT_SELECTORS:
         try:
-            return select()
+            out.append(select(phi))
         except CriticalExponentError:
-            return None
-
-    e_y = phi.y_slot_exponent()
-    j_q = (
-        Direction.EXPAND
-        if e_y is None
-        else attempt(lambda: select_direction(e_y, CRITICAL_QUADRATIC))
-    )
-    j_a = attempt(lambda: _select_for(phi, CRITICAL_ADDITIVE))
-    j_c = attempt(lambda: _select_for(phi, CRITICAL_CUBIC))
-    return (j_q, j_a, j_c)
+            out.append(None)
+    return tuple(out)
 
 
 def quadratic_series_vanishes(phi: PowerBound) -> bool:

@@ -15,7 +15,7 @@ import sys
 import click
 import numpy as np
 
-from .approximants import IterationControl, decompose_full
+from .approximants import DEFAULT_MAX_N, DEFAULT_TOL, IterationControl, decompose_full
 from .bounds import BoundContext, bound_table, select_directions
 from .equations import EquationParams, verify_solution
 from .errors import (
@@ -36,44 +36,15 @@ from .harness import (
 from .quasinorm import PNormSpace
 
 
-def _parse_poly(text: str):
-    parts = text.split(",")
+def _parse_triple(text: str, flag: str, usage: str, build, sep: str = ":"):
+    """build(*parts) for a flag value of exactly three sep-joined parts."""
+    parts = text.split(sep)
     if len(parts) != 3:
-        raise click.BadParameter("--poly expects a3,a2,a1")
+        raise click.BadParameter(f"{flag} expects {usage}")
     try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise click.BadParameter(f"--poly: {exc}") from None
-
-
-def _parse_noise(text: str) -> NoiseSpec:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise click.BadParameter("--noise expects kind:eps:seed")
-    try:
-        return NoiseSpec(kind=parts[0], amplitude=float(parts[1]), seed=int(parts[2]))
-    except (ValueError, InvalidInputError) as exc:
-        raise click.BadParameter(f"--noise: {exc}") from None
-
-
-def _parse_phi(text: str) -> PhiForm:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise click.BadParameter("--phi expects form:r:s")
-    try:
-        return PhiForm(form=parts[0], r=float(parts[1]), s=float(parts[2]))
-    except (ValueError, InvalidInputError) as exc:
-        raise click.BadParameter(f"--phi: {exc}") from None
-
-
-def _parse_grid(text: str) -> GridSpec:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise click.BadParameter("--grid expects min:max:count")
-    try:
-        return GridSpec(lo=float(parts[0]), hi=float(parts[1]), count=int(parts[2]))
-    except (ValueError, InvalidInputError) as exc:
-        raise click.BadParameter(f"--grid: {exc}") from None
+        return build(*parts)
+    except ValueError as exc:  # InvalidInputError included
+        raise click.BadParameter(f"{flag}: {exc}") from None
 
 
 def common_options(fn):
@@ -85,11 +56,10 @@ def common_options(fn):
         click.option("--noise", default="none:0:0", show_default=True, help="Perturbation kind:eps:seed."),
         click.option("--phi", default="constant:0:0", show_default=True, help="Control form:r:s."),
         click.option("--grid", default="-5:5:101", show_default=True, help="Grid min:max:count."),
-        click.option("--tol", type=float, default=1e-10, show_default=True, help="Tolerance (iteration stop / residual check)."),
-        click.option("--max-n", type=int, default=48, show_default=True, help="Iteration cap."),
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True, help="Output format."),
+        click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, help="Tolerance (iteration stop / residual check)."),
+        click.option("--max-n", type=int, default=DEFAULT_MAX_N, show_default=True, help="Iteration cap."),
         click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write output here instead of stdout."),
-        click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON config overriding the flags."),
+        click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON config overriding the flags; unknown keys are rejected."),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
@@ -101,23 +71,22 @@ def _build_config(k, p, dim, poly, noise, phi, grid, tol, max_n, config_path) ->
         k=k,
         p=p,
         codomain_dim=dim,
-        poly=_parse_poly(poly),
-        noise=_parse_noise(noise),
-        phi_form=_parse_phi(phi),
-        grid=_parse_grid(grid),
+        poly=_parse_triple(poly, "--poly", "a3,a2,a1", lambda *c: tuple(map(float, c)), sep=","),
+        noise=_parse_triple(
+            noise, "--noise", "kind:eps:seed", lambda kind, eps, seed: NoiseSpec(kind, float(eps), int(seed))
+        ),
+        phi_form=_parse_triple(phi, "--phi", "form:r:s", lambda form, r, s: PhiForm(form, float(r), float(s))),
+        grid=_parse_triple(grid, "--grid", "min:max:count", lambda lo, hi, n: GridSpec(float(lo), float(hi), int(n))),
         tol=tol,
         max_n=max_n,
     )
     if config_path is not None:
         with open(config_path) as fh:
-            overrides = json.load(fh)
-        merged = cfg.to_json()
-        for key, value in overrides.items():
-            if key in ("noise", "phi_form", "grid") and isinstance(value, dict):
-                merged[key] = {**merged[key], **value}
-            else:
-                merged[key] = value
-        cfg = ExperimentConfig.from_json(merged)
+            try:
+                overrides = json.load(fh)
+            except ValueError as exc:
+                raise InvalidInputError(f"--config {config_path}: {exc}") from None
+        cfg = ExperimentConfig.from_json(overrides, base=cfg)
     return cfg
 
 
@@ -152,9 +121,9 @@ def main() -> None:
 @main.command()
 @common_options
 @handles_errors
-def check(k, p, dim, poly, noise, phi, grid, tol, max_n, fmt, out, config_path):
+def check(out, **flags):
     """Verify a candidate map against the equation residual on a grid."""
-    cfg = _build_config(k, p, dim, poly, noise, phi, grid, tol, max_n, config_path)
+    cfg = _build_config(**flags)
     f = make_test_function(cfg)
     report = verify_solution(f, EquationParams(cfg.k), cfg.grid.pairs(), cfg.tol)
     _emit(report.dumps(), out)
@@ -164,9 +133,9 @@ def check(k, p, dim, poly, noise, phi, grid, tol, max_n, fmt, out, config_path):
 @main.command()
 @common_options
 @handles_errors
-def decompose(k, p, dim, poly, noise, phi, grid, tol, max_n, fmt, out, config_path):
+def decompose(out, **flags):
     """Recover additive, quadratic and cubic components on the grid."""
-    cfg = _build_config(k, p, dim, poly, noise, phi, grid, tol, max_n, config_path)
+    cfg = _build_config(**flags)
     f = make_test_function(cfg)
     directions = select_directions(cfg.phi_form.instantiate(1.0))
     ctrl = IterationControl(tol=cfg.tol, max_n=cfg.max_n)
@@ -189,9 +158,9 @@ def decompose(k, p, dim, poly, noise, phi, grid, tol, max_n, fmt, out, config_pa
 @main.command()
 @common_options
 @handles_errors
-def bounds(k, p, dim, poly, noise, phi, grid, tol, max_n, fmt, out, config_path):
+def bounds(out, **flags):
     """Tabulate closed-form constants and per-point full bounds (theta = 1)."""
-    cfg = _build_config(k, p, dim, poly, noise, phi, grid, tol, max_n, config_path)
+    cfg = _build_config(**flags)
     ctx = BoundContext.create(
         EquationParams(cfg.k),
         PNormSpace(cfg.codomain_dim, cfg.p),
@@ -204,14 +173,13 @@ def bounds(k, p, dim, poly, noise, phi, grid, tol, max_n, fmt, out, config_path)
 
 @main.command()
 @common_options
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True, help="Report format.")
 @handles_errors
-def experiment(k, p, dim, poly, noise, phi, grid, tol, max_n, fmt, out, config_path):
+def experiment(fmt, out, **flags):
     """Run the calibrate-decompose-audit pipeline and emit the report."""
-    cfg = _build_config(k, p, dim, poly, noise, phi, grid, tol, max_n, config_path)
+    cfg = _build_config(**flags)
     report = run_experiment(cfg)
-    text = emit_report(report, fmt, out)
-    if out is None:
-        click.echo(text, nl=False)
+    _emit(emit_report(report, fmt), out)
     sys.exit(0 if report.passed else 1)
 
 

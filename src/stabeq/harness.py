@@ -11,14 +11,13 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .approximants import (
     DEFAULT_MAX_N,
-    DEFAULT_MAX_N_QUADRATIC,
     DEFAULT_TOL,
     ConvergenceDiagnostics,
     Direction,
@@ -60,8 +59,10 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in _NOISE_KINDS:
             raise InvalidInputError(f"unknown noise kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise InvalidInputError("noise amplitude must be >= 0")
+        if not (0.0 <= self.amplitude < np.inf):
+            raise InvalidInputError(
+                f"noise amplitude must be finite and >= 0, got {self.amplitude!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,13 @@ class PhiForm:
 class GridSpec:
     """Uniform 1-D grid; calibration uses its Cartesian square."""
 
-    lo: float = -5.0
-    hi: float = 5.0
+    lo: float = field(default=-5.0, metadata={"json": "min"})
+    hi: float = field(default=5.0, metadata={"json": "max"})
     count: int = 101
 
     def __post_init__(self) -> None:
-        if not (self.count >= 2 and self.lo < self.hi):
-            raise InvalidInputError("grid needs lo < hi and count >= 2")
+        if not (self.count >= 2 and -np.inf < self.lo < self.hi < np.inf):
+            raise InvalidInputError("grid needs finite lo < hi and count >= 2")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -123,63 +124,73 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if len(self.poly) != 3:
             raise InvalidInputError("poly must be (a3, a2, a1)")
-        if self.tol < 0:
-            raise InvalidInputError("tol must be >= 0")
+        if not (0.0 <= self.tol < np.inf):
+            raise InvalidInputError(f"tol must be finite and >= 0, got {self.tol!r}")
         if self.max_n < 1:
             raise InvalidInputError("max_n must be >= 1")
 
     def to_json(self) -> dict:
-        def coeff(c):
-            return list(np.atleast_1d(np.asarray(c, dtype=float)))
-
-        return {
-            "k": self.k,
-            "p": self.p,
-            "codomain_dim": self.codomain_dim,
-            "poly": [coeff(c) for c in self.poly],
-            "noise": {
-                "kind": self.noise.kind,
-                "amplitude": self.noise.amplitude,
-                "seed": self.noise.seed,
-            },
-            "phi_form": {"form": self.phi_form.form, "r": self.phi_form.r, "s": self.phi_form.s},
-            "grid": {"min": self.grid.lo, "max": self.grid.hi, "count": self.grid.count},
-            "tol": self.tol,
-            "max_n": self.max_n,
-        }
+        return _config_to_json(self)
 
     @classmethod
-    def from_json(cls, data: dict) -> "ExperimentConfig":
-        base = cls()
-        noise = data.get("noise", {})
-        phi = data.get("phi_form", {})
-        grid = data.get("grid", {})
-        poly = data.get("poly", base.poly)
-        return cls(
-            k=int(data.get("k", base.k)),
-            p=float(data.get("p", base.p)),
-            codomain_dim=int(data.get("codomain_dim", base.codomain_dim)),
-            poly=tuple(
-                tuple(c) if isinstance(c, (list, tuple)) else float(c) for c in poly
-            ),
-            noise=NoiseSpec(
-                kind=noise.get("kind", base.noise.kind),
-                amplitude=float(noise.get("amplitude", base.noise.amplitude)),
-                seed=int(noise.get("seed", base.noise.seed)),
-            ),
-            phi_form=PhiForm(
-                form=phi.get("form", base.phi_form.form),
-                r=float(phi.get("r", base.phi_form.r)),
-                s=float(phi.get("s", base.phi_form.s)),
-            ),
-            grid=GridSpec(
-                lo=float(grid.get("min", base.grid.lo)),
-                hi=float(grid.get("max", base.grid.hi)),
-                count=int(grid.get("count", base.grid.count)),
-            ),
-            tol=float(data.get("tol", base.tol)),
-            max_n=int(data.get("max_n", base.max_n)),
-        )
+    def from_json(
+        cls, data: dict, base: ExperimentConfig | None = None
+    ) -> ExperimentConfig:
+        """Merge a JSON config onto base (default ExperimentConfig()).
+
+        Nested objects merge field by field; unknown keys at any level raise
+        InvalidInputError.
+        """
+        return _config_from_json(cls() if base is None else base, data, "config")
+
+
+# The JSON schema is the dataclass fields: a field's key is its name unless
+# its metadata names another, nested dataclasses are nested objects, scalars
+# convert by their declared type, and poly is a list of per-component
+# coefficient lists.
+_SCALAR_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _json_key(f) -> str:
+    return f.metadata.get("json", f.name)
+
+
+def _config_to_json(obj) -> dict:
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _config_to_json(value)
+        elif f.name == "poly":
+            value = [np.atleast_1d(np.asarray(c, dtype=float)).tolist() for c in value]
+        out[_json_key(f)] = value
+    return out
+
+
+def _config_from_json(base, data, where: str):
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{where} must be a JSON object")
+    schema = {_json_key(f): f for f in fields(base)}
+    unknown = sorted(set(data) - set(schema))
+    if unknown:
+        raise InvalidInputError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    changes = {}
+    for key, raw in data.items():
+        f = schema[key]
+        current = getattr(base, f.name)
+        if is_dataclass(current):
+            changes[f.name] = _config_from_json(current, raw, f"{where}.{key}")
+            continue
+        try:
+            if f.name == "poly":
+                changes[f.name] = tuple(
+                    tuple(c) if isinstance(c, (list, tuple)) else float(c) for c in raw
+                )
+            else:
+                changes[f.name] = _SCALAR_TYPES[f.type](raw)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"{where}.{key}: {exc}") from None
+    return replace(base, **changes)
 
 
 def make_test_function(cfg: ExperimentConfig) -> FunctionHandle:
@@ -317,11 +328,7 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     theta = calibrate_theta(f, params, cfg.phi_form, cfg.grid)
     phi = cfg.phi_form.instantiate(theta)
     directions = select_directions(phi)
-    ctrl = IterationControl(
-        tol=cfg.tol,
-        max_n=cfg.max_n,
-        max_n_quadratic=min(cfg.max_n, DEFAULT_MAX_N_QUADRATIC),
-    )
+    ctrl = IterationControl(tol=cfg.tol, max_n=cfg.max_n)
     dec = decompose_full(f, params, directions, ctrl)
     ctx = BoundContext.create(params, space, phi, directions)
 

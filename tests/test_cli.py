@@ -166,6 +166,22 @@ def test_experiment_config_overrides_flags(runner, tmp_path):
     assert len(payload["rows"]) == 101
 
 
+def test_decompose_and_experiment_share_the_quadratic_cap(runner):
+    shape = ("--k", "3", "--p", "0.5", "--phi", "sum:4:4", "--noise", "power_scaled:0.01:0", "--max-n", "5")
+    dec = json.loads(invoke(runner, "decompose", *shape).output)["diagnostics"]
+    exp = json.loads(invoke(runner, "experiment", *shape).output)["diagnostics"]
+    assert dec["quadratic"]["n_used"] == exp["quadratic"]["n_used"] == 5
+
+
+@pytest.mark.parametrize("overrides", [{"max-n": 1}, {"grid": {"cnt": 3}}])
+def test_config_unknown_key_exits_2(runner, tmp_path, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    result = invoke(runner, "experiment", "--grid", "-1:1:3", "--config", str(cfg))
+    assert result.exit_code == 2
+    assert "unknown key" in result.stderr
+
+
 def test_experiment_unboundable_perturbation_exits_1(runner):
     result = invoke(
         runner,
@@ -191,6 +207,11 @@ def test_experiment_unboundable_perturbation_exits_1(runner):
         ("check", "--phi", "sum:4"),
         ("check", "--grid", "0:5"),
         ("experiment", "--grid", "5:0:11"),
+        ("experiment", "--noise", "bounded_smooth:nan:1"),
+        ("experiment", "--tol", "nan"),
+        ("check", "--phi", "sum:nan:1"),
+        ("check", "--grid", "-5:inf:11"),
+        ("check", "--format", "csv"),
     ],
 )
 def test_malformed_flags_exit_2(runner, args):

@@ -94,6 +94,16 @@ def test_config_from_json_fills_defaults():
     assert cfg.phi_form == PhiForm()
 
 
+def test_config_from_json_merges_onto_base():
+    base = ExperimentConfig(k=3, grid=GridSpec(-2.0, 2.0, 5), tol=0)
+    cfg = ExperimentConfig.from_json({"grid": {"count": 7}, "tol": 1e-8}, base=base)
+    assert cfg.k == 3 and cfg.grid == GridSpec(-2.0, 2.0, 7)
+    assert cfg.tol == 1e-8  # converted by the field's type, not the base value's
+    for bad in ({"noise": {"amp": 0.1}}, {"grid": 5}, {"k": "two"}):
+        with pytest.raises(InvalidInputError):
+            ExperimentConfig.from_json(bad, base=base)
+
+
 # --- test function factory ------------------------------------------------
 
 
