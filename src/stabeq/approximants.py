@@ -106,15 +106,12 @@ def _iterate_values(spec: IterationSpec, f: FunctionHandle, X: np.ndarray, n: in
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind is IterKind.QUADRATIC:
             k = float(spec.params.k)
-            args = X * k ** (-n * j)
-            v = f(args)
+            v, m = f.evaluate(X * k ** (-n * j))
             scale = k ** (2 * n * j)
-            return scale * v, abs(scale) * f.eval_magnitude(args, values=v)
+            return scale * v, abs(scale) * m
         args = X * 2.0 ** (-n * j)
-        v2 = f(2.0 * args)
-        v1 = f(args)
-        m2 = f.eval_magnitude(2.0 * args, values=v2)
-        m1 = f.eval_magnitude(args, values=v1)
+        v2, m2 = f.evaluate(2.0 * args)
+        v1, m1 = f.evaluate(args)
         if spec.kind is IterKind.ADDITIVE:
             scale = 2.0 ** (n * j)
             return scale * (v2 - 8.0 * v1), abs(scale) * (m2 + 8.0 * m1)
@@ -261,8 +258,8 @@ class LimitFunction(FunctionHandle):
     """Lazy pointwise limit of an iteration, usable as a FunctionHandle.
 
     Evaluations run take_limit on the requested points, scale by a constant,
-    memoize scalar lookups, and fold every batch's diagnostics into a running
-    worst-case record exposed as .diagnostics.
+    and fold every batch's diagnostics into a running worst-case record
+    exposed as .diagnostics.
     """
 
     def __init__(
@@ -272,10 +269,7 @@ class LimitFunction(FunctionHandle):
         scale: float = 1.0,
     ):
         self.spec = spec
-        self._base = base
-        self._limit_scale = scale
         self._records: list[ConvergenceDiagnostics] = []
-        self._cache: dict[float, np.ndarray] = {}
 
         def fn(xs: np.ndarray) -> np.ndarray:
             vals, diag = take_limit(spec, base, xs)
@@ -288,15 +282,6 @@ class LimitFunction(FunctionHandle):
     @property
     def diagnostics(self) -> ConvergenceDiagnostics:
         return ConvergenceDiagnostics.merge(self._records)
-
-    def __call__(self, x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        if xs.ndim == 0:
-            key = float(xs)
-            if key not in self._cache:
-                self._cache[key] = super().__call__(xs)
-            return self._cache[key].copy()
-        return super().__call__(x)
 
 
 @dataclass(frozen=True)

@@ -368,8 +368,9 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
     """Upper bound on the full series: adaptive partial sum + geometric tail.
 
     Terms are added in chunks until the tail bound (last term * rho/(1-rho))
-    is below 1e-15 of the running sum at every point, then the tail bound is
-    added, so the result always dominates the true sum.
+    is below 1e-15 of the running sum at every point, or until the next term
+    is not finite in float64, then the tail bound is added, so the result
+    always dominates the true sum.
     """
     kind = _as_series_kind(kind)
     xs = np.asarray(x, dtype=float)
@@ -386,12 +387,24 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
     i = start
     while i < start + _TERM_CAP:
         idx = i + np.arange(_CHUNK)
-        terms = _series_terms(kind, ctx, flat, idx)
+        # For a huge |k| the argument scale k^i overflows within one chunk
+        # while its weight underflows.  Summing stops before the first
+        # non-finite term: as term(i+1) <= rho * term(i), the tail still holds.
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _series_terms(kind, ctx, flat, idx)
+        n_finite = int(np.cumprod(np.isfinite(terms).all(axis=1)).sum())
+        if n_finite == 0 and i == start:
+            raise InvalidInputError(
+                f"series {kind.value!r} overflows float64 at term {i} (k = {ctx.params.k})"
+            )
+        if n_finite == 0:
+            break
+        terms = terms[:n_finite]
         total += terms.sum(axis=0)
         last = terms[-1]
         i += _CHUNK
         tail = last * (rho / (1.0 - rho))
-        if np.all(tail <= _TAIL_REL * total + np.finfo(float).tiny):
+        if n_finite < _CHUNK or np.all(tail <= _TAIL_REL * total + np.finfo(float).tiny):
             break
     total += last * (rho / (1.0 - rho))
     out = total.reshape(xs.shape)

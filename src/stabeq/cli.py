@@ -36,50 +36,56 @@ from .harness import (
 from .quasinorm import PNormSpace
 
 
-def _parse_triple(text: str, flag: str, usage: str, build, sep: str = ":"):
-    """build(*parts) for a flag value of exactly three sep-joined parts."""
-    parts = text.split(sep)
-    if len(parts) != 3:
-        raise click.BadParameter(f"{flag} expects {usage}")
-    try:
-        return build(*parts)
-    except ValueError as exc:  # InvalidInputError included
-        raise click.BadParameter(f"{flag}: {exc}") from None
+def _triple(usage: str, build, sep: str = ":"):
+    """click callback: build(*parts) from a value of exactly three sep-joined parts."""
+
+    def callback(ctx, param, text):
+        parts = text.split(sep)
+        if len(parts) != 3:
+            raise click.BadParameter(f"expects {usage}")
+        try:
+            return build(*parts)
+        except ValueError as exc:  # InvalidInputError included
+            raise click.BadParameter(str(exc)) from None
+
+    return callback
 
 
-def common_options(fn):
-    opts = [
-        click.option("--k", type=int, default=2, show_default=True, help="Equation parameter k (|k| >= 2)."),
-        click.option("--p", type=float, default=1.0, show_default=True, help="Codomain norm exponent, 0 < p <= 1."),
-        click.option("--dim", type=int, default=1, show_default=True, help="Codomain dimension."),
-        click.option("--poly", default="1,1,1", show_default=True, help="Coefficients a3,a2,a1."),
-        click.option("--noise", default="none:0:0", show_default=True, help="Perturbation kind:eps:seed."),
-        click.option("--phi", default="constant:0:0", show_default=True, help="Control form:r:s."),
-        click.option("--grid", default="-5:5:101", show_default=True, help="Grid min:max:count."),
-        click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, help="Tolerance (iteration stop / residual check)."),
-        click.option("--max-n", type=int, default=DEFAULT_MAX_N, show_default=True, help="Iteration cap."),
-        click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write output here instead of stdout."),
-        click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON config overriding the flags; unknown keys are rejected."),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+# Every flag, named by the ExperimentConfig field it sets (--out and
+# --config excepted); the triple flags parse into their config objects.
+_FLAGS = {
+    "k": click.option("--k", type=int, default=2, show_default=True, help="Equation parameter k (|k| >= 2)."),
+    "p": click.option("--p", type=float, default=1.0, show_default=True, help="Codomain norm exponent, 0 < p <= 1."),
+    "dim": click.option("--dim", "codomain_dim", type=int, default=1, show_default=True, help="Codomain dimension."),
+    "poly": click.option("--poly", default="1,1,1", show_default=True, help="Coefficients a3,a2,a1.",
+                         callback=_triple("a3,a2,a1", lambda *c: tuple(map(float, c)), sep=",")),
+    "noise": click.option("--noise", default="none:0:0", show_default=True, help="Perturbation kind:eps:seed.",
+                          callback=_triple("kind:eps:seed", lambda kind, eps, seed: NoiseSpec(kind, float(eps), int(seed)))),
+    "phi": click.option("--phi", "phi_form", default="constant:0:0", show_default=True, help="Control form:r:s.",
+                        callback=_triple("form:r:s", lambda form, r, s: PhiForm(form, float(r), float(s)))),
+    "grid": click.option("--grid", default="-5:5:101", show_default=True, help="Grid min:max:count.",
+                         callback=_triple("min:max:count", lambda lo, hi, n: GridSpec(float(lo), float(hi), int(n)))),
+    "tol": click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, help="Tolerance (iteration stop / residual check)."),
+    "max_n": click.option("--max-n", type=int, default=DEFAULT_MAX_N, show_default=True, help="Iteration cap."),
+    "out": click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write output here instead of stdout."),
+    "config": click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON config overriding the flags; unknown keys are rejected."),
+}
+_CONFIG_FLAGS = ("k", "p", "dim", "poly", "noise", "phi", "grid", "tol", "max_n")
 
 
-def _build_config(k, p, dim, poly, noise, phi, grid, tol, max_n, config_path) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        k=k,
-        p=p,
-        codomain_dim=dim,
-        poly=_parse_triple(poly, "--poly", "a3,a2,a1", lambda *c: tuple(map(float, c)), sep=","),
-        noise=_parse_triple(
-            noise, "--noise", "kind:eps:seed", lambda kind, eps, seed: NoiseSpec(kind, float(eps), int(seed))
-        ),
-        phi_form=_parse_triple(phi, "--phi", "form:r:s", lambda form, r, s: PhiForm(form, float(r), float(s))),
-        grid=_parse_triple(grid, "--grid", "min:max:count", lambda lo, hi, n: GridSpec(float(lo), float(hi), int(n))),
-        tol=tol,
-        max_n=max_n,
-    )
+def options(*names):
+    """The named flags plus --out and --config: each subcommand takes only the flags it reads."""
+
+    def decorate(fn):
+        for name in reversed(names + ("out", "config")):
+            fn = _FLAGS[name](fn)
+        return fn
+
+    return decorate
+
+
+def _build_config(config_path, **fields) -> ExperimentConfig:
+    cfg = ExperimentConfig(**fields)
     if config_path is not None:
         with open(config_path) as fh:
             try:
@@ -119,7 +125,7 @@ def main() -> None:
 
 
 @main.command()
-@common_options
+@options("k", "p", "dim", "poly", "noise", "phi", "grid", "tol")
 @handles_errors
 def check(out, **flags):
     """Verify a candidate map against the equation residual on a grid."""
@@ -131,7 +137,7 @@ def check(out, **flags):
 
 
 @main.command()
-@common_options
+@options(*_CONFIG_FLAGS)
 @handles_errors
 def decompose(out, **flags):
     """Recover additive, quadratic and cubic components on the grid."""
@@ -156,7 +162,7 @@ def decompose(out, **flags):
 
 
 @main.command()
-@common_options
+@options("k", "p", "phi", "grid")
 @handles_errors
 def bounds(out, **flags):
     """Tabulate closed-form constants and per-point full bounds (theta = 1)."""
@@ -172,7 +178,7 @@ def bounds(out, **flags):
 
 
 @main.command()
-@common_options
+@options(*_CONFIG_FLAGS)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True, help="Report format.")
 @handles_errors
 def experiment(fmt, out, **flags):

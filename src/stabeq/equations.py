@@ -45,17 +45,11 @@ class FunctionHandle:
     so handle(0) == 0 exactly; the subtracted vector is kept as ``offset``.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[np.ndarray], np.ndarray],
-        space: PNormSpace,
-        magnitude_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], space: PNormSpace):
         self.space = space
         self._fn = fn
-        self._magnitude_fn = magnitude_fn
         self.offset = np.zeros(space.dim)
-        self.offset = self._eval(np.zeros(1))[0].copy()
+        self.offset = self._eval(np.zeros(1))[0][0].copy()
 
     @classmethod
     def from_scalar(
@@ -81,7 +75,8 @@ class FunctionHandle:
 
         return cls(poly, space)
 
-    def _eval(self, xs: np.ndarray) -> np.ndarray:
+    def _eval(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and magnitudes at the flat points xs, both shape (N, dim)."""
         out = np.asarray(self._fn(xs), dtype=float)
         if out.ndim == 1:
             out = out[:, None]
@@ -89,47 +84,26 @@ class FunctionHandle:
             raise InvalidInputError(
                 f"callable returned shape {out.shape}, expected ({xs.size}, {self.space.dim})"
             )
-        return out - self.offset
+        vals = out - self.offset
+        return vals, np.abs(vals) + np.abs(self.offset)
 
     def __call__(self, x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        flat = self._eval(xs.reshape(-1))
-        if xs.ndim == 0:
-            return flat[0]
-        return flat.reshape(xs.shape + (self.space.dim,))
+        return self.evaluate(x)[0]
 
-    def eval_magnitude(self, x, values: np.ndarray | None = None) -> np.ndarray:
-        """Size of the largest quantity summed while evaluating handle(x).
+    def evaluate(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(handle(x), magnitude) from one evaluation.
 
-        eps times this is the rounding scale of one evaluation.  A plain
-        handle reports |handle(x)| + |offset| (pass values to reuse an
-        already computed handle(x)); handles built from cancelling
-        combinations, like parity parts, install a magnitude_fn that reports
-        the pre-cancellation term sizes instead.  Limit iterations use this
-        to floor their stopping tolerance at machine precision.
+        The magnitude is the size of the largest quantity summed while
+        evaluating handle(x), so eps times it is the rounding scale of the
+        value: |handle(x)| + |offset| for a plain handle, the half-sum of
+        the two halves' magnitudes for a parity part.
         """
         xs = np.asarray(x, dtype=float)
-        flat = xs.reshape(-1)
-        if self._magnitude_fn is not None:
-            mag = np.asarray(self._magnitude_fn(flat), dtype=float)
-            if mag.ndim == 1:
-                mag = mag[:, None]
-            if mag.shape != (flat.size, self.space.dim):
-                raise InvalidInputError(
-                    f"magnitude callable returned shape {mag.shape}, "
-                    f"expected ({flat.size}, {self.space.dim})"
-                )
-        else:
-            if values is None:
-                vals = self._eval(flat)
-            else:
-                vals = np.asarray(values, dtype=float).reshape(
-                    flat.size, self.space.dim
-                )
-            mag = np.abs(vals) + np.abs(self.offset)
+        vals, mag = self._eval(xs.reshape(-1))
         if xs.ndim == 0:
-            return mag[0]
-        return mag.reshape(xs.shape + (self.space.dim,))
+            return vals[0], mag[0]
+        shape = xs.shape + (self.space.dim,)
+        return vals.reshape(shape), mag.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -163,85 +137,98 @@ class EquationKind:
     def cubic_additive(cls) -> "EquationKind":
         return cls("cubic_additive")
 
-
-def _broadcast_pair(x, y):
-    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return xs, ys
-
-
-def _operator_terms(f: FunctionHandle, params: EquationParams, X, Y):
-    """The five evaluation streams of D_f and their signed coefficients."""
-    k = float(params.k)
-    k2 = k * k
-    vals = [f(X + k * Y), f(X - k * Y), f(X + Y), f(X - Y), f(X)]
-    coeffs = [1.0, 1.0, -k2, -k2, -2.0 * (1.0 - k2)]
-    return vals, coeffs
+    @property
+    def terms(self) -> tuple[tuple[float, float, float], ...]:
+        """(c, a, b) of each term of the residual sum_m c_m f(a_m x + b_m y)."""
+        if self.tag != "general_mixed":
+            return _FIXED_TERMS[self.tag]
+        k = float(self.params.k)
+        k2 = k * k
+        return ((1, 1, k), (1, 1, -k), (-k2, 1, 1), (-k2, 1, -1), (-2.0 * (1.0 - k2), 1, 0))
 
 
-def difference_operator(f: FunctionHandle, params: EquationParams, x, y) -> np.ndarray:
-    """D_f(x, y); vectorized, broadcasting x against y.
+_FIXED_TERMS = {
+    "quadratic": ((1, 1, 1), (1, 1, -1), (-2, 1, 0), (-2, 0, 1)),
+    "cubic": ((1, 2, 1), (1, 2, -1), (-2, 1, 1), (-2, 1, -1), (-12, 1, 0)),
+    "cubic_additive": ((1, 2, 1), (1, 2, -1), (-2, 1, 1), (-2, 1, -1), (-2, 2, 0), (4, 1, 0)),
+}
 
-    Returns shape (dim,) for scalar inputs, otherwise broadcast_shape + (dim,).
-    Five evaluations of f per point.
+# Pairs per block of operator_residual: its working set is a few arrays of
+# block x dim floats per term, whatever the number of pairs.
+_BLOCK = 1 << 14
+
+
+def operator_residual(
+    f: FunctionHandle, kind: EquationKind, X: np.ndarray, Y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual sum_m c_m f(a_m x + b_m y) and its rounding scale per pair.
+
+    X and Y are flat arrays of equal length.  Returns (residuals, scale) of
+    shapes (N, dim) and (N,), with scale = 1 + sum_m |c_m| pnorm(magnitude
+    of the m-th evaluation), so eps * scale is the rounding level of the
+    residual.  Pairs are taken _BLOCK at a time; every pair's result is the
+    same whichever block it falls in.
     """
-    xs, ys = _broadcast_pair(x, y)
-    X, Y = xs.reshape(-1), ys.reshape(-1)
-    vals, coeffs = _operator_terms(f, params, X, Y)
-    out = sum(c * v for c, v in zip(coeffs, vals))
-    if xs.ndim == 0:
-        return out[0]
-    return out.reshape(xs.shape + (f.space.dim,))
+    space = f.space
+    resid = np.empty((X.size, space.dim))
+    scale = np.empty(X.size)
+    for lo in range(0, X.size, _BLOCK):
+        x, y = X[lo : lo + _BLOCK], Y[lo : lo + _BLOCK]
+        acc = size = 0.0
+        for c, a, b in kind.terms:
+            vals, mag = f.evaluate(a * x + b * y)
+            acc = acc + c * vals
+            size = size + abs(c) * space.pnorm(mag)
+        resid[lo : lo + _BLOCK] = acc
+        scale[lo : lo + _BLOCK] = 1.0 + size
+    return resid, scale
 
 
 def residual(f: FunctionHandle, kind: EquationKind, x, y) -> np.ndarray:
-    """Residual of f in the equation selected by kind, at (x, y)."""
-    if kind.tag == "general_mixed":
-        return difference_operator(f, kind.params, x, y)
-    xs, ys = _broadcast_pair(x, y)
-    X, Y = xs.reshape(-1), ys.reshape(-1)
-    if kind.tag == "quadratic":
-        out = f(X + Y) + f(X - Y) - 2.0 * f(X) - 2.0 * f(Y)
-    elif kind.tag == "cubic":
-        out = (
-            f(2 * X + Y) + f(2 * X - Y) - 2.0 * f(X + Y) - 2.0 * f(X - Y) - 12.0 * f(X)
-        )
-    else:  # cubic_additive
-        out = (
-            f(2 * X + Y)
-            + f(2 * X - Y)
-            - 2.0 * f(X + Y)
-            - 2.0 * f(X - Y)
-            - 2.0 * f(2 * X)
-            + 4.0 * f(X)
-        )
+    """Residual of f in the equation selected by kind, at (x, y).
+
+    Vectorized, broadcasting x against y: returns shape (dim,) for scalar
+    inputs, otherwise broadcast_shape + (dim,).
+    """
+    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out, _ = operator_residual(f, kind, xs.reshape(-1), ys.reshape(-1))
     if xs.ndim == 0:
         return out[0]
     return out.reshape(xs.shape + (f.space.dim,))
+
+
+def difference_operator(f: FunctionHandle, params: EquationParams, x, y) -> np.ndarray:
+    """D_f(x, y), the general_mixed residual; five evaluations of f per point."""
+    return residual(f, EquationKind.general_mixed(params), x, y)
+
+
+class _ParityPart(FunctionHandle):
+    """Even or odd part of a handle, from one f(x), f(-x) pair per point.
+
+    Its magnitude is the half-sum of those of f(x) and f(-x): where the
+    other parity dominates, the part is a small difference of large values,
+    and its rounding scale is that of the halves, not of the result.
+    """
+
+    def __init__(self, whole: FunctionHandle, odd: bool):
+        self._whole = whole
+        self._odd = odd
+        super().__init__(None, whole.space)  # _eval reads whole, not a callable
+
+    def _eval(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        plus, plus_mag = self._whole._eval(xs)
+        minus, minus_mag = self._whole._eval(-xs)
+        part = 0.5 * (plus - minus) if self._odd else 0.5 * (plus + minus)
+        return part - self.offset, 0.5 * (plus_mag + minus_mag)
 
 
 def parity_split(f: FunctionHandle) -> tuple[FunctionHandle, FunctionHandle]:
     """Even and odd parts, e(x) = (f(x)+f(-x))/2 and o(x) = (f(x)-f(-x))/2.
 
     The parts are exactly symmetric (floating add is commutative and subtract
-    antisymmetric); reassembly e + o matches f to within 1 ulp.  Where one
-    parity dominates, the other part is a small difference of large values,
-    so both handles report the half-sum of |f(x)| and |f(-x)| as their
-    evaluation magnitude rather than the cancelled result.
+    antisymmetric); reassembly e + o matches f to within 1 ulp.
     """
-
-    def even(xs: np.ndarray) -> np.ndarray:
-        return 0.5 * (f(xs) + f(-xs))
-
-    def odd(xs: np.ndarray) -> np.ndarray:
-        return 0.5 * (f(xs) - f(-xs))
-
-    def halves_scale(xs: np.ndarray) -> np.ndarray:
-        return 0.5 * (np.abs(f(xs)) + np.abs(f(-xs)))
-
-    return (
-        FunctionHandle(even, f.space, magnitude_fn=halves_scale),
-        FunctionHandle(odd, f.space, magnitude_fn=halves_scale),
-    )
+    return _ParityPart(f, odd=False), _ParityPart(f, odd=True)
 
 
 def mixed_fourth_residual(f: FunctionHandle, x) -> np.ndarray:
@@ -257,7 +244,7 @@ def mixed_fourth_residual(f: FunctionHandle, x) -> np.ndarray:
 
 def biadditive_form(q: FunctionHandle, x, y) -> np.ndarray:
     """Polarization (q(x+y) - q(x-y))/4 of a quadratic map q."""
-    xs, ys = _broadcast_pair(x, y)
+    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return 0.25 * (q(xs + ys) - q(xs - ys))
 
 
@@ -291,8 +278,9 @@ def verify_solution(
 ) -> SolutionReport:
     """Max pnorm(D_f) over a grid of (x, y) pairs, judged against tol * scale.
 
-    scale = 1 + the largest pnorm among every f-evaluation the operator makes
-    on the grid, so tol is relative to the magnitudes actually computed.
+    scale is the largest per-pair rounding scale operator_residual reports,
+    1 + sum_m |c_m| pnorm(f-evaluation m), so tol is relative to the
+    magnitudes actually summed.
     """
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
@@ -300,10 +288,9 @@ def verify_solution(
     if tol < 0:
         raise InvalidInputError(f"tol must be nonnegative, got {tol!r}")
     X, Y = pts[:, 0], pts[:, 1]
-    vals, coeffs = _operator_terms(f, params, X, Y)
-    resid = sum(c * v for c, v in zip(coeffs, vals))
+    resid, scales = operator_residual(f, EquationKind.general_mixed(params), X, Y)
     norms = f.space.pnorm(resid)
-    scale = 1.0 + max(float(np.max(f.space.pnorm(v))) for v in vals)
+    scale = float(np.max(scales))
     idx = int(np.argmax(norms))
     max_residual = float(norms[idx])
     return SolutionReport(

@@ -25,7 +25,7 @@ from .approximants import (
     decompose_full,
 )
 from .bounds import BoundContext, BoundKind, PowerBound, select_directions, stability_bound
-from .equations import EquationParams, FunctionHandle, _operator_terms
+from .equations import EquationKind, EquationParams, FunctionHandle, operator_residual
 from .errors import InvalidInputError, UnboundablePerturbationError
 from .quasinorm import PNormSpace
 
@@ -144,11 +144,18 @@ class ExperimentConfig:
         return _config_from_json(cls() if base is None else base, data, "config")
 
 
+def _json_int(raw) -> int:
+    """An int field's value: an integral JSON number, never a boolean."""
+    if not (type(raw) is int or (type(raw) is float and raw.is_integer())):
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
 # The JSON schema is the dataclass fields: a field's key is its name unless
 # its metadata names another, nested dataclasses are nested objects, scalars
 # convert by their declared type, and poly is a list of per-component
 # coefficient lists.
-_SCALAR_TYPES = {"int": int, "float": float, "str": str}
+_SCALAR_TYPES = {"int": _json_int, "float": float, "str": str}
 
 
 def _json_key(f) -> str:
@@ -248,10 +255,8 @@ def calibrate_theta(
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise InvalidInputError("calibration grid must be a nonempty array of pairs")
     X, Y = pts[:, 0], pts[:, 1]
-    vals, coeffs = _operator_terms(f, params, X, Y)
-    resid = sum(c * v for c, v in zip(coeffs, vals))
+    resid, local_scale = operator_residual(f, EquationKind.general_mixed(params), X, Y)
     rnorm = f.space.pnorm(resid)
-    local_scale = 1.0 + sum(abs(c) * f.space.pnorm(v) for c, v in zip(coeffs, vals))
     phi_unit = phi_form.instantiate(1.0).value(X, Y)
 
     dust = rnorm <= _ZERO_RESIDUAL_REL * local_scale

@@ -209,13 +209,14 @@ def test_doubling_the_cap_does_not_move_converged_values():
 # --- LimitFunction --------------------------------------------------------
 
 
-def test_limit_function_caches_scalar_calls_with_copies():
+def test_limit_function_scalar_calls_return_fresh_arrays():
     f = sin_perturbed_odd()
     lf = LimitFunction(IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT), f)
     first = lf(1.5)
     first_value = first[0]
     first[0] = 123.0  # mutate the returned array
     again = lf(1.5)
+    assert again is not first
     assert again[0] == first_value
 
 

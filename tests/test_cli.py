@@ -173,13 +173,42 @@ def test_decompose_and_experiment_share_the_quadratic_cap(runner):
     assert dec["quadratic"]["n_used"] == exp["quadratic"]["n_used"] == 5
 
 
-@pytest.mark.parametrize("overrides", [{"max-n": 1}, {"grid": {"cnt": 3}}])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"max-n": 1},
+        {"grid": {"cnt": 3}},
+        {"grid": {"count": 5.9}},
+        {"k": 2.7},
+        {"max_n": True},
+    ],
+)
 def test_config_unknown_key_exits_2(runner, tmp_path, overrides):
+    """Unknown keys and non-integral values for int fields both exit 2."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     result = invoke(runner, "experiment", "--grid", "-1:1:3", "--config", str(cfg))
     assert result.exit_code == 2
-    assert "unknown key" in result.stderr
+    assert "unknown key" in result.stderr or "expected an integer" in result.stderr
+
+
+def test_huge_k_writes_a_finite_report_without_warnings(runner):
+    # The suite turns RuntimeWarning into an error, so a numpy overflow
+    # warning in the bound series would fail this test.
+    result = invoke(
+        runner, "experiment", "--k", "100000000000", "--grid", "-1:1:5", "--format", "json"
+    )
+    assert result.exit_code == 0, result.stderr
+    assert result.stderr == ""
+    rows = json.loads(result.output)["rows"]
+    assert len(rows) == 5
+    assert all(0.0 < row["bound"] < float("inf") for row in rows)
+
+
+def test_bound_series_overflowing_at_its_first_term_exits_2(runner):
+    result = invoke(runner, "bounds", "--phi", "sum:4:4", "--grid=-1e200:1e200:3")
+    assert result.exit_code == 2
+    assert "k = 2" in result.stderr
 
 
 def test_experiment_unboundable_perturbation_exits_1(runner):
@@ -212,6 +241,9 @@ def test_experiment_unboundable_perturbation_exits_1(runner):
         ("check", "--phi", "sum:nan:1"),
         ("check", "--grid", "-5:inf:11"),
         ("check", "--format", "csv"),
+        ("bounds", "--tol", "5"),
+        ("bounds", "--dim", "3"),
+        ("check", "--max-n", "1"),
     ],
 )
 def test_malformed_flags_exit_2(runner, args):

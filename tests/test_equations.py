@@ -16,6 +16,7 @@ from stabeq import (
     residual,
     verify_solution,
 )
+from stabeq.equations import _BLOCK, operator_residual
 
 SPACE1 = PNormSpace(1, 1.0)
 
@@ -79,21 +80,43 @@ def test_polynomial_vector_coefficients():
     assert out[0] == 8.0 and out[1] == 4.0
 
 
-def test_eval_magnitude_default_includes_offset():
+def test_evaluate_magnitude_includes_offset():
     f = FunctionHandle(lambda xs: (xs + 7.0)[:, None], SPACE1)
-    mag = f.eval_magnitude(np.array([3.0]))
+    vals, mag = f.evaluate(np.array([3.0]))
     # |f(3)| + |offset| = 3 + 7
+    assert vals[0, 0] == 3.0
     assert mag[0, 0] == pytest.approx(10.0)
+    scalar_vals, scalar_mag = f.evaluate(3.0)
+    assert scalar_vals.shape == scalar_mag.shape == (1,)
 
 
-def test_eval_magnitude_parity_sees_cancellation_scale():
+def test_evaluate_parity_sees_cancellation_scale():
     f = poly_handle(1.0, 1.0, 0.0)  # x^3 + x^2
     even, odd = parity_split(f)
     x = np.array([10.0])
     # even(10) = 100 but both halves evaluate f at +-10, sizes 1100 and 900
-    assert even(x)[0, 0] == pytest.approx(100.0)
-    assert even.eval_magnitude(x)[0, 0] == pytest.approx(0.5 * (1100.0 + 900.0))
-    assert odd.eval_magnitude(x)[0, 0] == pytest.approx(1000.0)
+    even_vals, even_mag = even.evaluate(x)
+    assert even_vals[0, 0] == pytest.approx(100.0)
+    assert even_mag[0, 0] == pytest.approx(0.5 * (1100.0 + 900.0))
+    odd_vals, odd_mag = odd.evaluate(x)
+    assert odd_vals[0, 0] == pytest.approx(1000.0)
+    assert odd_mag[0, 0] == pytest.approx(1000.0)
+
+
+def test_parity_evaluate_makes_two_base_evaluations_per_point():
+    seen = []
+
+    def counted(xs):
+        seen.append(xs.size)
+        return (xs**3 + xs**2)[:, None]
+
+    f = FunctionHandle(counted, SPACE1)
+    xs = rand_points(17)
+    for part in parity_split(f):
+        seen.clear()
+        vals, _ = part.evaluate(xs)
+        assert sum(seen) == 2 * xs.size
+        assert np.array_equal(vals, part(xs))
 
 
 # --- the difference operator ----------------------------------------------
@@ -182,6 +205,46 @@ def test_cubic_additive_residual_absorbs_additive_part():
     assert np.max(np.abs(vals)) < 1e-9 * (1 + np.max(np.abs(mixed(3 * pts))))
     q = poly_handle(0.0, 1.0, 0.0)
     assert abs(residual(q, EquationKind.cubic_additive(), 1.0, 2.0)[0]) > 1.0
+
+
+def test_term_tables_reproduce_the_written_out_sums():
+    f = FunctionHandle(lambda xs: (np.sin(3 * xs) + xs**4)[:, None], SPACE1)
+    X, Y = rand_points(300), rand_points(300, seed=RNG_SEED + 1)
+    k = 3.0
+    written = {
+        EquationKind.general_mixed(EquationParams(3)): f(X + k * Y)
+        + f(X - k * Y)
+        - k * k * f(X + Y)
+        - k * k * f(X - Y)
+        - 2.0 * (1.0 - k * k) * f(X),
+        EquationKind.quadratic(): f(X + Y) + f(X - Y) - 2.0 * f(X) - 2.0 * f(Y),
+        EquationKind.cubic(): f(2 * X + Y)
+        + f(2 * X - Y)
+        - 2.0 * f(X + Y)
+        - 2.0 * f(X - Y)
+        - 12.0 * f(X),
+        EquationKind.cubic_additive(): f(2 * X + Y)
+        + f(2 * X - Y)
+        - 2.0 * f(X + Y)
+        - 2.0 * f(X - Y)
+        - 2.0 * f(2 * X)
+        + 4.0 * f(X),
+    }
+    for kind, want in written.items():
+        assert np.array_equal(residual(f, kind, X, Y), want), kind.tag
+
+
+def test_operator_residual_blocks_match_block_by_block():
+    f = FunctionHandle(lambda xs: (np.sin(xs) + xs**3)[:, None], PNormSpace(1, 0.5))
+    kind = EquationKind.general_mixed(EquationParams(2))
+    n = 2 * _BLOCK + 123
+    X, Y = rand_points(n), rand_points(n, seed=RNG_SEED + 1)
+    resid, scale = operator_residual(f, kind, X, Y)
+    assert resid.shape == (n, 1) and scale.shape == (n,)
+    for lo in range(0, n, 1000):
+        part_r, part_s = operator_residual(f, kind, X[lo : lo + 1000], Y[lo : lo + 1000])
+        assert np.array_equal(resid[lo : lo + 1000], part_r)
+        assert np.array_equal(scale[lo : lo + 1000], part_s)
 
 
 def test_general_mixed_dispatch_matches_difference_operator():
@@ -283,6 +346,16 @@ def test_verify_solution_rejects_quartic():
     # residual is 24 y^4, largest at the grid corner
     assert abs(y_star) == 5.0
     assert report.max_residual == pytest.approx(24 * 5.0**4, rel=1e-9)
+
+
+def test_verify_solution_scale_is_largest_pair_scale():
+    f = poly_handle(2.0, -1.0, 5.0)
+    pairs = grid_pairs()
+    report = verify_solution(f, EquationParams(2), pairs, 1e-9)
+    _, scale = operator_residual(
+        f, EquationKind.general_mixed(EquationParams(2)), pairs[:, 0], pairs[:, 1]
+    )
+    assert report.scale == np.max(scale)
 
 
 def test_verify_solution_validation():
