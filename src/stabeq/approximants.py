@@ -16,7 +16,7 @@ the point diverged and keeps the last finite value rather than raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -25,8 +25,7 @@ from .equations import EquationParams, FunctionHandle, parity_split
 from .errors import InvalidInputError
 from .quasinorm import PNormSpace
 
-# Seed for the fixed pseudo-random probe set used by parity checks and
-# decomposition diagnostics.
+# Seed for the fixed pseudo-random probe set decompose_odd checks oddness on.
 PROBE_SEED = 1729
 PROBE_COUNT = 32
 
@@ -159,15 +158,12 @@ class ConvergenceDiagnostics:
     last_step: float
     converged: bool
 
-    @classmethod
-    def merge(cls, items) -> "ConvergenceDiagnostics":
-        items = list(items)
-        if not items:
-            return cls(0, 0.0, True)
-        return cls(
-            n_used=max(d.n_used for d in items),
-            last_step=max(d.last_step for d in items),
-            converged=all(d.converged for d in items),
+    def merge(self, other: "ConvergenceDiagnostics") -> "ConvergenceDiagnostics":
+        """The worst case of both records."""
+        return ConvergenceDiagnostics(
+            n_used=max(self.n_used, other.n_used),
+            last_step=max(self.last_step, other.last_step),
+            converged=self.converged and other.converged,
         )
 
     def to_json(self) -> dict:
@@ -176,6 +172,9 @@ class ConvergenceDiagnostics:
             "last_step": self.last_step,
             "converged": self.converged,
         }
+
+
+_NOTHING_EVALUATED = ConvergenceDiagnostics(0, 0.0, True)
 
 
 def take_limit(
@@ -257,9 +256,9 @@ def take_limit(
 class LimitFunction(FunctionHandle):
     """Lazy pointwise limit of an iteration, usable as a FunctionHandle.
 
-    Evaluations run take_limit on the requested points, scale by a constant,
-    and fold every batch's diagnostics into a running worst-case record
-    exposed as .diagnostics.
+    Evaluations run take_limit on the requested points and scale by a
+    constant.  .diagnostics is the worst case over every point evaluated so
+    far (n_used 0 before the first evaluation).
     """
 
     def __init__(
@@ -269,70 +268,43 @@ class LimitFunction(FunctionHandle):
         scale: float = 1.0,
     ):
         self.spec = spec
-        self._records: list[ConvergenceDiagnostics] = []
 
         def fn(xs: np.ndarray) -> np.ndarray:
             vals, diag = take_limit(spec, base, xs)
-            self._records.append(diag)
+            self.diagnostics = self.diagnostics.merge(diag)
             return scale * vals
 
+        self.diagnostics = _NOTHING_EVALUATED
         super().__init__(fn, base.space)
-        self._records.clear()  # drop the offset-normalization probe at 0
-
-    @property
-    def diagnostics(self) -> ConvergenceDiagnostics:
-        return ConvergenceDiagnostics.merge(self._records)
+        self.diagnostics = _NOTHING_EVALUATED  # drop the offset-normalization call at 0
 
 
-@dataclass(frozen=True)
-class IterationControl:
-    """Shared knobs for a decomposition's three iterations.
-
-    max_n caps the base-2 iterations; the base-k^2 quadratic iteration is
-    capped at min(max_n, DEFAULT_MAX_N_QUADRATIC).
-    """
-
-    tol: float = DEFAULT_TOL
-    max_n: int = DEFAULT_MAX_N
-    probes: np.ndarray | None = None
-
-    def probe_points(self) -> np.ndarray:
-        return default_probes() if self.probes is None else np.asarray(self.probes, float)
-
-
-def _check_odd(f: FunctionHandle, probes: np.ndarray) -> None:
-    vals = f(probes)
-    mirror = f(-probes)
-    slack = 1e-9 * (1.0 + f.space.pnorm(vals))
-    defect = f.space.pnorm(vals + mirror)
-    if np.any(defect > slack):
-        raise InvalidInputError("decompose_odd requires an odd map")
+def _odd_limits(
+    f: FunctionHandle, j_additive: Direction, j_cubic: Direction, tol: float, max_n: int
+) -> tuple[LimitFunction, LimitFunction]:
+    spec_a = IterationSpec(IterKind.ADDITIVE, j_additive, tol=tol, max_n=max_n)
+    spec_c = IterationSpec(IterKind.CUBIC, j_cubic, tol=tol, max_n=max_n)
+    return LimitFunction(spec_a, f, scale=-1.0 / 6.0), LimitFunction(spec_c, f, scale=1.0 / 6.0)
 
 
 def decompose_odd(
     f: FunctionHandle,
     j_additive: Direction = Direction.EXPAND,
     j_cubic: Direction = Direction.EXPAND,
-    ctrl: IterationControl = IterationControl(),
+    tol: float = DEFAULT_TOL,
+    max_n: int = DEFAULT_MAX_N,
 ) -> tuple[LimitFunction, LimitFunction]:
     """Split an odd near-solution into additive and cubic approximants.
 
     A(x) = -(1/6) lim 2^(nj) g(x/2^(nj)),  C(x) = (1/6) lim 8^(nj) h(x/2^(nj));
-    then A + C approximates f.  Oddness is validated at the fixed probe set.
+    then A + C approximates f.  Oddness is validated at default_probes().
     """
-    probes = ctrl.probe_points()
-    _check_odd(f, probes)
-    spec_a = IterationSpec(
-        IterKind.ADDITIVE, j_additive, tol=ctrl.tol, max_n=ctrl.max_n
-    )
-    spec_c = IterationSpec(IterKind.CUBIC, j_cubic, tol=ctrl.tol, max_n=ctrl.max_n)
-    A = LimitFunction(spec_a, f, scale=-1.0 / 6.0)
-    C = LimitFunction(spec_c, f, scale=1.0 / 6.0)
-    # Warm the diagnostics with the probe batch so a fresh decomposition
-    # already reports convergence information.
-    A(probes)
-    C(probes)
-    return A, C
+    probes = default_probes()
+    vals = f(probes)
+    slack = 1e-9 * (1.0 + f.space.pnorm(vals))
+    if np.any(f.space.pnorm(vals + f(-probes)) > slack):
+        raise InvalidInputError("decompose_odd requires an odd map")
+    return _odd_limits(f, j_additive, j_cubic, tol, max_n)
 
 
 @dataclass
@@ -365,12 +337,16 @@ def decompose_full(
         Direction.EXPAND,
         Direction.EXPAND,
     ),
-    ctrl: IterationControl = IterationControl(),
+    tol: float = DEFAULT_TOL,
+    max_n: int = DEFAULT_MAX_N,
 ) -> DecompositionResult:
     """Full parity-split decomposition f ~ A + Q + C.
 
     directions = (j_quadratic, j_additive, j_cubic).  The even part feeds the
-    base-k^2 quadratic iteration, the odd part the base-2 pair.
+    base-k^2 quadratic iteration, capped at min(max_n, DEFAULT_MAX_N_QUADRATIC),
+    and the odd part the base-2 pair, capped at max_n.  Nothing is iterated
+    until a component is called, so each component's diagnostics cover
+    exactly the points it was evaluated at.
     """
     j_q, j_a, j_c = directions
     even, odd = parity_split(f)
@@ -378,15 +354,13 @@ def decompose_full(
         IterKind.QUADRATIC,
         j_q,
         params=params,
-        tol=ctrl.tol,
-        max_n=min(ctrl.max_n, DEFAULT_MAX_N_QUADRATIC),
+        tol=tol,
+        max_n=min(max_n, DEFAULT_MAX_N_QUADRATIC),
     )
-    Q = LimitFunction(spec_q, even)
-    A, C = decompose_odd(odd, j_a, j_c, ctrl)
-    Q(ctrl.probe_points())
+    A, C = _odd_limits(odd, j_a, j_c, tol, max_n)
     return DecompositionResult(
         A=A,
-        Q=Q,
+        Q=LimitFunction(spec_q, even),
         C=C,
         offsets=f.offset.copy(),
         directions=(Direction(j_q), Direction(j_a), Direction(j_c)),

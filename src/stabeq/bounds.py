@@ -340,6 +340,56 @@ def _series_terms(
     return weights[:, None] * inner
 
 
+def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
+    """The series at |x|, summed in chunks of _CHUNK terms.
+
+    With n_terms, the partial sum of the first n_terms terms.  Without, terms
+    are added until the tail bound (last term * rho/(1-rho)) is below 1e-15
+    of the running sum at every point, and then that tail bound is added, so
+    the result dominates the true sum.  Either way summing stops before the
+    first term that is not finite in float64: for a huge |k| the argument
+    scale k^i overflows within one chunk while its weight underflows, and as
+    term(i+1) <= rho * term(i) the terms left out are negligible.
+    """
+    kind = _as_series_kind(kind)
+    xs = np.asarray(x, dtype=float)
+    flat = np.abs(xs.reshape(-1))
+    total = np.zeros_like(flat)
+    vanishes = ctx.phi.theta == 0.0 or (
+        kind is SeriesKind.QUADRATIC and quadratic_series_vanishes(ctx.phi)
+    )
+    if not vanishes:
+        rho = _check_convergent(kind, ctx)
+        _, _, start = _series_geometry(kind, ctx)
+        stop = start + (_TERM_CAP if n_terms is None else n_terms)
+        last = np.zeros_like(flat)
+        i = start
+        while i < stop:
+            idx = np.arange(i, min(i + _CHUNK, stop))
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = _series_terms(kind, ctx, flat, idx)
+            n_finite = int(np.cumprod(np.isfinite(terms).all(axis=1)).sum())
+            if n_finite == 0 and i == start:
+                raise InvalidInputError(
+                    f"series {kind.value!r} overflows float64 at term {i} (k = {ctx.params.k})"
+                )
+            if n_finite == 0:
+                break
+            terms = terms[:n_finite]
+            total += terms.sum(axis=0)
+            last = terms[-1]
+            i += _CHUNK
+            tail = last * (rho / (1.0 - rho))
+            if n_finite < idx.size or (
+                n_terms is None and np.all(tail <= _TAIL_REL * total + np.finfo(float).tiny)
+            ):
+                break
+        if n_terms is None:
+            total += last * (rho / (1.0 - rho))
+    out = total.reshape(xs.shape)
+    return float(out) if xs.ndim == 0 else out
+
+
 def psi_tilde_numeric(kind, ctx: BoundContext, x, n_terms: int):
     """Partial sum of the comparison series: its first n_terms terms.
 
@@ -349,66 +399,12 @@ def psi_tilde_numeric(kind, ctx: BoundContext, x, n_terms: int):
     """
     if n_terms < 1:
         raise InvalidInputError(f"n_terms must be >= 1, got {n_terms!r}")
-    kind = _as_series_kind(kind)
-    xs = np.asarray(x, dtype=float)
-    if ctx.phi.theta == 0.0 or (
-        kind is SeriesKind.QUADRATIC and ctx.phi.y_slot_exponent() is None
-    ):
-        out = np.zeros(xs.shape)
-        return float(out) if xs.ndim == 0 else out
-    _check_convergent(kind, ctx)
-    _, _, start = _series_geometry(kind, ctx)
-    idx = start + np.arange(n_terms)
-    terms = _series_terms(kind, ctx, xs.reshape(-1), idx)
-    out = terms.sum(axis=0).reshape(xs.shape)
-    return float(out) if xs.ndim == 0 else out
+    return _series_sum(kind, ctx, x, n_terms)
 
 
 def psi_tilde_bound(kind, ctx: BoundContext, x):
-    """Upper bound on the full series: adaptive partial sum + geometric tail.
-
-    Terms are added in chunks until the tail bound (last term * rho/(1-rho))
-    is below 1e-15 of the running sum at every point, or until the next term
-    is not finite in float64, then the tail bound is added, so the result
-    always dominates the true sum.
-    """
-    kind = _as_series_kind(kind)
-    xs = np.asarray(x, dtype=float)
-    flat = np.abs(xs.reshape(-1))
-    if ctx.phi.theta == 0.0 or (
-        kind is SeriesKind.QUADRATIC and ctx.phi.y_slot_exponent() is None
-    ):
-        out = np.zeros(xs.shape)
-        return float(out) if xs.ndim == 0 else out
-    rho = _check_convergent(kind, ctx)
-    _, _, start = _series_geometry(kind, ctx)
-    total = np.zeros_like(flat)
-    last = np.zeros_like(flat)
-    i = start
-    while i < start + _TERM_CAP:
-        idx = i + np.arange(_CHUNK)
-        # For a huge |k| the argument scale k^i overflows within one chunk
-        # while its weight underflows.  Summing stops before the first
-        # non-finite term: as term(i+1) <= rho * term(i), the tail still holds.
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = _series_terms(kind, ctx, flat, idx)
-        n_finite = int(np.cumprod(np.isfinite(terms).all(axis=1)).sum())
-        if n_finite == 0 and i == start:
-            raise InvalidInputError(
-                f"series {kind.value!r} overflows float64 at term {i} (k = {ctx.params.k})"
-            )
-        if n_finite == 0:
-            break
-        terms = terms[:n_finite]
-        total += terms.sum(axis=0)
-        last = terms[-1]
-        i += _CHUNK
-        tail = last * (rho / (1.0 - rho))
-        if n_finite < _CHUNK or np.all(tail <= _TAIL_REL * total + np.finfo(float).tiny):
-            break
-    total += last * (rho / (1.0 - rho))
-    out = total.reshape(xs.shape)
-    return float(out) if xs.ndim == 0 else out
+    """Upper bound on the full series: adaptive partial sum + geometric tail."""
+    return _series_sum(kind, ctx, x, None)
 
 
 class BoundKind(Enum):

@@ -15,8 +15,8 @@ import sys
 import click
 import numpy as np
 
-from .approximants import DEFAULT_MAX_N, DEFAULT_TOL, IterationControl, decompose_full
-from .bounds import BoundContext, bound_table, select_directions
+from .approximants import DEFAULT_MAX_N, DEFAULT_TOL
+from .bounds import BoundContext, bound_table
 from .equations import EquationParams, verify_solution
 from .errors import (
     CriticalExponentError,
@@ -29,6 +29,7 @@ from .harness import (
     GridSpec,
     NoiseSpec,
     PhiForm,
+    decompose as decompose_stage,
     emit_report,
     make_test_function,
     run_experiment,
@@ -142,10 +143,7 @@ def check(out, **flags):
 def decompose(out, **flags):
     """Recover additive, quadratic and cubic components on the grid."""
     cfg = _build_config(**flags)
-    f = make_test_function(cfg)
-    directions = select_directions(cfg.phi_form.instantiate(1.0))
-    ctrl = IterationControl(tol=cfg.tol, max_n=cfg.max_n)
-    dec = decompose_full(f, EquationParams(cfg.k), directions, ctrl)
+    dec = decompose_stage(cfg, make_test_function(cfg))
     xs = cfg.grid.points()
     payload = {
         "x": [float(v) for v in xs],

@@ -20,8 +20,8 @@ from .approximants import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
     ConvergenceDiagnostics,
+    DecompositionResult,
     Direction,
-    IterationControl,
     decompose_full,
 )
 from .bounds import BoundContext, BoundKind, PowerBound, select_directions, stability_bound
@@ -124,6 +124,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if len(self.poly) != 3:
             raise InvalidInputError("poly must be (a3, a2, a1)")
+        for c in self.poly:
+            try:
+                arr = np.asarray(c, dtype=float)
+                ok = arr.shape in ((), (self.codomain_dim,)) and np.isfinite(arr).all()
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise InvalidInputError(
+                    f"poly entries must be finite numbers or {self.codomain_dim}-vectors "
+                    f"of finite numbers, got {c!r}"
+                )
         if not (0.0 <= self.tol < np.inf):
             raise InvalidInputError(f"tol must be finite and >= 0, got {self.tol!r}")
         if self.max_n < 1:
@@ -191,7 +202,8 @@ def _config_from_json(base, data, where: str):
         try:
             if f.name == "poly":
                 changes[f.name] = tuple(
-                    tuple(c) if isinstance(c, (list, tuple)) else float(c) for c in raw
+                    tuple(map(float, c)) if isinstance(c, (list, tuple)) else float(c)
+                    for c in raw
                 )
             else:
                 changes[f.name] = _SCALAR_TYPES[f.type](raw)
@@ -325,6 +337,18 @@ class StabilityReport:
 _MARGIN_SLACK = 1e-12
 
 
+def decompose(cfg: ExperimentConfig, f: FunctionHandle) -> DecompositionResult:
+    """The decomposition stage: directions from cfg.phi_form, caps from cfg.
+
+    Directions depend on the control's exponents only, not on its amplitude,
+    so the stage needs no calibrated theta.
+    """
+    directions = select_directions(cfg.phi_form.instantiate(1.0))
+    return decompose_full(
+        f, EquationParams(cfg.k), directions, tol=cfg.tol, max_n=cfg.max_n
+    )
+
+
 def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     """Calibrate, decompose, and audit one config; deterministic end to end."""
     space = PNormSpace(cfg.codomain_dim, cfg.p)
@@ -332,10 +356,8 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     f = make_test_function(cfg)
     theta = calibrate_theta(f, params, cfg.phi_form, cfg.grid)
     phi = cfg.phi_form.instantiate(theta)
-    directions = select_directions(phi)
-    ctrl = IterationControl(tol=cfg.tol, max_n=cfg.max_n)
-    dec = decompose_full(f, params, directions, ctrl)
-    ctx = BoundContext.create(params, space, phi, directions)
+    dec = decompose(cfg, f)
+    ctx = BoundContext.create(params, space, phi, dec.directions)
 
     xs = cfg.grid.points()
     fx, Ax, Qx, Cx = f(xs), dec.A(xs), dec.Q(xs), dec.C(xs)
@@ -343,7 +365,7 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     bound = np.atleast_1d(stability_bound(BoundKind.FULL, ctx, xs))
     margin = bound - resid
 
-    diagnostics = dec.diagnostics  # includes the grid evaluations just made
+    diagnostics = dec.diagnostics  # covers exactly the grid evaluations just made
     all_converged = all(d.converged for d in diagnostics.values())
     ok = bool(np.all(margin >= -_MARGIN_SLACK * (1.0 + bound)) and all_converged)
 
@@ -368,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     return StabilityReport(
         rows=rows,
         theta_used=float(theta),
-        directions=directions,
+        directions=dec.directions,
         diagnostics=diag_summary,
         passed=ok,
     )
@@ -413,15 +435,10 @@ def report_to_json(report: StabilityReport) -> str:
     return json.dumps(report.to_json(), indent=2) + "\n"
 
 
-def emit_report(report: StabilityReport, format: str, path: str | None = None) -> str:
-    """Render the report as csv or json; write it to path when given."""
+def emit_report(report: StabilityReport, format: str) -> str:
+    """Render the report as csv or json text."""
     if format == "csv":
-        text = report_to_csv(report)
-    elif format == "json":
-        text = report_to_json(report)
-    else:
-        raise InvalidInputError(f"unknown report format {format!r}")
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    return text
+        return report_to_csv(report)
+    if format == "json":
+        return report_to_json(report)
+    raise InvalidInputError(f"unknown report format {format!r}")

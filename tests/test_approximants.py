@@ -11,7 +11,6 @@ from stabeq import (
     ExperimentConfig,
     FunctionHandle,
     InvalidInputError,
-    IterationControl,
     IterationSpec,
     IterKind,
     LimitFunction,
@@ -298,11 +297,30 @@ def test_decompose_full_respects_direction_choice():
     assert expand.A(2.0)[0] == pytest.approx(2.0, abs=1e-4)
 
 
-def test_iteration_control_probe_points():
-    ctrl = IterationControl()
-    assert np.array_equal(ctrl.probe_points(), default_probes())
-    custom = IterationControl(probes=np.array([1.0, 2.0]))
-    assert np.array_equal(custom.probe_points(), [1.0, 2.0])
+def test_decompose_full_evaluates_nothing_until_a_component_is_called():
+    seen = []
+    poly = FunctionHandle.polynomial(SPACE1, 2.0, -1.0, 5.0)
+
+    def recording(xs):
+        seen.append(xs.copy())
+        return poly(xs)
+
+    dec = decompose_full(FunctionHandle(recording, SPACE1), K2)
+    assert seen and all(np.all(xs == 0.0) for xs in seen)
+    assert all(d.n_used == 0 for d in dec.diagnostics.values())
+    dec.Q(np.array([1.5]))
+    assert np.any(np.concatenate(seen) != 0.0)
+
+
+def test_component_diagnostics_cover_exactly_the_evaluated_points():
+    cfg = ExperimentConfig(noise=NoiseSpec("bounded_smooth", 0.01, 3))
+    f = make_test_function(cfg)
+    dec = decompose_full(f, K2)
+    xs = np.array([0.25, -0.5, 1.0])
+    dec.A(xs)
+    _, odd = parity_split(f)
+    _, expected = take_limit(dec.A.spec, odd, xs)
+    assert dec.A.diagnostics == expected
 
 
 def test_default_probes_deterministic():

@@ -241,6 +241,14 @@ def test_psi_divergent_direction_raises():
         psi_tilde_bound("e", ctx, 1.0)
 
 
+def test_psi_numeric_stops_at_the_last_finite_term_for_huge_k():
+    # The suite turns RuntimeWarning into an error: an overflow in the
+    # argument scale k^i would fail this test.
+    ctx = ctx_for(10**11, 1.0, PowerBound("constant", 1.0))
+    assert psi_tilde_numeric("e", ctx, 1.0, 64) == 1.0
+    assert psi_tilde_numeric("e", ctx, 1.0, 64) <= psi_tilde_bound("e", ctx, 1.0)
+
+
 def test_psi_numeric_rejects_bad_term_count():
     ctx = ctx_for(2, 1.0, PowerBound("constant", 1.0))
     with pytest.raises(InvalidInputError):

@@ -149,6 +149,31 @@ def test_experiment_out_writes_file(runner, tmp_path):
     assert out.read_text().startswith(CSV_HEADER)
 
 
+def test_experiment_unwritable_out_exits_1(runner, tmp_path):
+    out = tmp_path / "missing" / "r.csv"
+    result = invoke(runner, "experiment", "--grid", "-2:2:5", "--out", str(out))
+    assert result.exit_code == 1
+    assert "error:" in result.stderr
+
+
+def test_probe_points_do_not_fail_a_converged_report(runner):
+    # Every grid point converges within 14 doublings and every margin is
+    # positive; only points the report never audits could fail it.
+    result = invoke(
+        runner,
+        "experiment",
+        "--noise",
+        "bounded_smooth:0.01:1",
+        "--grid=-20:20:41",
+        "--max-n",
+        "14",
+    )
+    assert result.exit_code == 0, result.stderr
+    payload = json.loads(result.output)
+    assert payload["pass"] is True
+    assert min(row["margin"] for row in payload["rows"]) > 0.1
+
+
 def test_experiment_config_overrides_flags(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -181,15 +206,19 @@ def test_decompose_and_experiment_share_the_quadratic_cap(runner):
         {"grid": {"count": 5.9}},
         {"k": 2.7},
         {"max_n": True},
+        {"poly": [["a"], 1, 1]},
+        {"poly": [[1, 2], 1, 1]},
     ],
 )
 def test_config_unknown_key_exits_2(runner, tmp_path, overrides):
-    """Unknown keys and non-integral values for int fields both exit 2."""
+    """Unknown keys, non-integral int fields and malformed poly entries exit 2."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     result = invoke(runner, "experiment", "--grid", "-1:1:3", "--config", str(cfg))
     assert result.exit_code == 2
-    assert "unknown key" in result.stderr or "expected an integer" in result.stderr
+    assert any(
+        what in result.stderr for what in ("unknown key", "expected an integer", "poly")
+    )
 
 
 def test_huge_k_writes_a_finite_report_without_warnings(runner):
@@ -244,6 +273,9 @@ def test_experiment_unboundable_perturbation_exits_1(runner):
         ("bounds", "--tol", "5"),
         ("bounds", "--dim", "3"),
         ("check", "--max-n", "1"),
+        ("check", "--poly", "inf,0,0", "--grid", "-1:1:3"),
+        ("decompose", "--poly", "inf,0,0", "--grid", "-1:1:3"),
+        ("check", "--poly", "nan,1,1"),
     ],
 )
 def test_malformed_flags_exit_2(runner, args):

@@ -19,6 +19,7 @@ from stabeq import (
     emit_report,
     make_test_function,
     report_to_csv,
+    report_to_json,
     run_experiment,
 )
 
@@ -67,6 +68,10 @@ def test_experiment_config_validation():
         ExperimentConfig(tol=-1e-9)
     with pytest.raises(InvalidInputError):
         ExperimentConfig(max_n=0)
+    for poly in ((("a",), 1.0, 1.0), ((1.0, 2.0), 1.0, 1.0), (np.inf, 0.0, 0.0), (1.0, np.nan, 1.0)):
+        with pytest.raises(InvalidInputError):
+            ExperimentConfig(poly=poly)
+    assert ExperimentConfig(codomain_dim=2, poly=((1.0, 2.0), 0.0, 1.0)).codomain_dim == 2
 
 
 def test_config_json_round_trip():
@@ -325,16 +330,13 @@ def test_csv_floats_round_trip():
     assert float(cells[6]) == report.rows[0].bound
 
 
-def test_emit_report_formats_and_paths(tmp_path):
+def test_emit_report_formats():
     report = run_experiment(ExperimentConfig(grid=GridSpec(-2.0, 2.0, 5)))
     csv_text = emit_report(report, "csv")
+    assert csv_text == report_to_csv(report)
     assert csv_text.startswith(CSV_HEADER)
     json_text = emit_report(report, "json")
+    assert json_text == report_to_json(report)
     assert json.loads(json_text)["pass"] is True
-    out = tmp_path / "report.csv"
-    returned = emit_report(report, "csv", str(out))
-    assert out.read_text() == returned == csv_text
     with pytest.raises(InvalidInputError):
         emit_report(report, "yaml")
-    with pytest.raises(OSError):
-        emit_report(report, "csv", str(tmp_path / "missing" / "report.csv"))
