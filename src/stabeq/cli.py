@@ -132,7 +132,7 @@ def check(out, **flags):
     """Verify a candidate map against the equation residual on a grid."""
     cfg = _build_config(**flags)
     f = make_test_function(cfg)
-    report = verify_solution(f, EquationParams(cfg.k), cfg.grid.pairs(), cfg.tol)
+    report = verify_solution(f, EquationParams(cfg.k), cfg.grid, cfg.tol)
     _emit(report.dumps(), out)
     sys.exit(0 if report.passed else 1)
 

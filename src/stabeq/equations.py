@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,6 +34,11 @@ class EquationParams:
             raise InvalidInputError(f"k must be an integer, got {self.k!r}")
         if self.k in (-1, 0, 1):
             raise InvalidInputError(f"k must satisfy |k| >= 2, got {self.k}")
+
+
+def horner_cubic(x, a3, a2, a1):
+    """a3 x^3 + a2 x^2 + a1 x, evaluated as ((a3 x + a2) x + a1) x."""
+    return ((a3 * x + a2) * x + a1) * x
 
 
 class FunctionHandle:
@@ -63,17 +68,27 @@ class FunctionHandle:
         return cls(vec, space)
 
     @classmethod
+    def componentwise(
+        cls, space: PNormSpace, fn: Callable[..., np.ndarray], *coefs
+    ) -> "FunctionHandle":
+        """The map x -> fn(x, *coefs), one formula for every component.
+
+        Each coefficient is a scalar or a (dim,) vector.  fn is called with
+        the points as a (1, N) row and each coefficient as a (dim, 1)
+        column, so its arithmetic runs on (dim, N) arrays whose inner loops
+        are along the N points; the handle reads the transposed (N, dim)
+        view, whose components-axis sums are then column adds.
+        """
+        cols = [
+            np.broadcast_to(np.asarray(c, dtype=float), (space.dim,))[:, None].copy()
+            for c in coefs
+        ]
+        return cls(lambda xs: fn(xs[None, :], *cols).T, space)
+
+    @classmethod
     def polynomial(cls, space: PNormSpace, a3, a2, a1) -> "FunctionHandle":
         """Componentwise a3 x^3 + a2 x^2 + a1 x; coefficients scalar or (dim,)."""
-        c3 = np.broadcast_to(np.asarray(a3, dtype=float), (space.dim,)).copy()
-        c2 = np.broadcast_to(np.asarray(a2, dtype=float), (space.dim,)).copy()
-        c1 = np.broadcast_to(np.asarray(a1, dtype=float), (space.dim,)).copy()
-
-        def poly(xs: np.ndarray) -> np.ndarray:
-            x = xs[:, None]
-            return ((c3 * x + c2) * x + c1) * x
-
-        return cls(poly, space)
+        return cls.componentwise(space, horner_cubic, a3, a2, a1)
 
     def _eval(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and magnitudes at the flat points xs, both shape (N, dim)."""
@@ -153,9 +168,31 @@ _FIXED_TERMS = {
     "cubic_additive": ((1, 2, 1), (1, 2, -1), (-2, 1, 1), (-2, 1, -1), (-2, 2, 0), (4, 1, 0)),
 }
 
-# Pairs per block of operator_residual: its working set is a few arrays of
-# block x dim floats per term, whatever the number of pairs.
+# Pairs per block of operator_residual and of pair_blocks: the working set
+# is a few arrays of block x dim floats per term, whatever the number of pairs.
 _BLOCK = 1 << 14
+
+
+def pair_blocks(grid) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (X, Y) pairs of grid, in order, as flat blocks of about _BLOCK.
+
+    grid is an array of (x, y) pairs, sliced _BLOCK rows at a time, or a
+    grid with points() (a GridSpec) standing for its Cartesian square in
+    GridSpec.pairs() order: each block holds whole rows of equal x, so no
+    count^2-sized array is built.  A malformed pair array raises at once.
+    """
+    if hasattr(grid, "points"):
+        pts = grid.points()
+        step = max(1, _BLOCK // pts.size)
+        rows = (pts[lo : lo + step] for lo in range(0, pts.size, step))
+        return ((np.repeat(xs, pts.size), np.tile(pts, xs.size)) for xs in rows)
+    pairs = np.asarray(grid, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
+        raise InvalidInputError("grid must be a nonempty array of (x, y) pairs")
+    return (
+        (pairs[lo : lo + _BLOCK, 0], pairs[lo : lo + _BLOCK, 1])
+        for lo in range(0, len(pairs), _BLOCK)
+    )
 
 
 def operator_residual(
@@ -278,26 +315,31 @@ def verify_solution(
 ) -> SolutionReport:
     """Max pnorm(D_f) over a grid of (x, y) pairs, judged against tol * scale.
 
-    scale is the largest per-pair rounding scale operator_residual reports,
-    1 + sum_m |c_m| pnorm(f-evaluation m), so tol is relative to the
-    magnitudes actually summed.
+    grid is an array of pairs or a GridSpec's square, read by pair_blocks
+    one block at a time.  scale is the largest per-pair rounding scale
+    operator_residual reports, 1 + sum_m |c_m| pnorm(f-evaluation m), so
+    tol is relative to the magnitudes actually summed.
     """
-    pts = np.asarray(grid, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-        raise InvalidInputError("grid must be a nonempty array of (x, y) pairs")
+    blocks = pair_blocks(grid)
     if tol < 0:
         raise InvalidInputError(f"tol must be nonnegative, got {tol!r}")
-    X, Y = pts[:, 0], pts[:, 1]
-    resid, scales = operator_residual(f, EquationKind.general_mixed(params), X, Y)
-    norms = f.space.pnorm(resid)
-    scale = float(np.max(scales))
-    idx = int(np.argmax(norms))
-    max_residual = float(norms[idx])
+    kind = EquationKind.general_mixed(params)
+    max_residual, argmax_point, scale = -np.inf, None, -np.inf
+    for X, Y in blocks:
+        resid, scales = operator_residual(f, kind, X, Y)
+        norms = f.space.pnorm(resid)
+        i = int(np.argmax(norms))
+        # np.argmax over [best so far, this block's best] takes the later
+        # block only where the whole-grid np.argmax would: strictly greater,
+        # or the first NaN.
+        if np.argmax([max_residual, norms[i]]) == 1:
+            max_residual, argmax_point = float(norms[i]), (float(X[i]), float(Y[i]))
+        scale = float(np.maximum(scale, np.max(scales)))
     return SolutionReport(
         equation="general_mixed",
         k=params.k,
         max_residual=max_residual,
-        argmax_point=(float(X[idx]), float(Y[idx])),
+        argmax_point=argmax_point,
         scale=scale,
         passed=bool(max_residual <= tol * scale),
     )

@@ -25,7 +25,14 @@ from .approximants import (
     decompose_full,
 )
 from .bounds import BoundContext, BoundKind, PowerBound, select_directions, stability_bound
-from .equations import EquationKind, EquationParams, FunctionHandle, operator_residual
+from .equations import (
+    EquationKind,
+    EquationParams,
+    FunctionHandle,
+    horner_cubic,
+    operator_residual,
+    pair_blocks,
+)
 from .errors import InvalidInputError, UnboundablePerturbationError
 from .quasinorm import PNormSpace
 
@@ -162,11 +169,18 @@ def _json_int(raw) -> int:
     return int(raw)
 
 
+def _json_float(raw) -> float:
+    """A float field's value: a JSON number, never a boolean or a string."""
+    if type(raw) not in (int, float):
+        raise ValueError(f"expected a number, got {raw!r}")
+    return float(raw)
+
+
 # The JSON schema is the dataclass fields: a field's key is its name unless
 # its metadata names another, nested dataclasses are nested objects, scalars
 # convert by their declared type, and poly is a list of per-component
 # coefficient lists.
-_SCALAR_TYPES = {"int": _json_int, "float": float, "str": str}
+_SCALAR_TYPES = {"int": _json_int, "float": _json_float, "str": str}
 
 
 def _json_key(f) -> str:
@@ -202,12 +216,12 @@ def _config_from_json(base, data, where: str):
         try:
             if f.name == "poly":
                 changes[f.name] = tuple(
-                    tuple(map(float, c)) if isinstance(c, (list, tuple)) else float(c)
+                    tuple(map(_json_float, c)) if isinstance(c, (list, tuple)) else _json_float(c)
                     for c in raw
                 )
             else:
                 changes[f.name] = _SCALAR_TYPES[f.type](raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"{where}.{key}: {exc}") from None
     return replace(base, **changes)
 
@@ -219,10 +233,6 @@ def make_test_function(cfg: ExperimentConfig) -> FunctionHandle:
     once from default_rng(seed), so the map is a pure function of the config.
     """
     space = PNormSpace(cfg.codomain_dim, cfg.p)
-    a3, a2, a1 = (
-        np.broadcast_to(np.asarray(c, dtype=float), (space.dim,)).copy()
-        for c in cfg.poly
-    )
     noise = cfg.noise
     eps = noise.amplitude
     if noise.kind != "none" and eps > 0:
@@ -233,9 +243,8 @@ def make_test_function(cfg: ExperimentConfig) -> FunctionHandle:
     lam = cfg.phi_form.power_scale()
     kind = noise.kind if eps > 0 else "none"
 
-    def fn(xs: np.ndarray) -> np.ndarray:
-        x = xs[:, None]
-        out = ((a3 * x + a2) * x + a1) * x
+    def fn(x, a3, a2, a1, omega):
+        out = horner_cubic(x, a3, a2, a1)
         if kind == "bounded_smooth":
             out = out + eps * np.sin(omega * x)
         elif kind == "power_scaled":
@@ -245,7 +254,7 @@ def make_test_function(cfg: ExperimentConfig) -> FunctionHandle:
                 out = out + eps * np.abs(x) ** lam * np.cos(omega * x)
         return out
 
-    return FunctionHandle(fn, space)
+    return FunctionHandle.componentwise(space, fn, *cfg.poly, omega)
 
 
 def calibrate_theta(
@@ -257,32 +266,32 @@ def calibrate_theta(
     """Smallest theta (times a 1.01 safety factor) covering the grid residual.
 
     theta = 1.01 * max pnorm(D_f(x,y)) / phi_unit(x,y) over grid points where
-    the unit control is positive.  Points where phi_unit = 0 must have a
+    the unit control is positive, reduced block by block (pair_blocks), so
+    memory does not grow with the grid.  Points where phi_unit = 0 must have a
     residual at rounding-dust level (<= 1e-12 of the local evaluation scale);
     a genuine residual there raises UnboundablePerturbationError, since no
     amplitude makes the control cover it.  The result certifies domination on
     the grid only, not off it.
     """
-    pts = grid.pairs() if isinstance(grid, GridSpec) else np.asarray(grid, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-        raise InvalidInputError("calibration grid must be a nonempty array of pairs")
-    X, Y = pts[:, 0], pts[:, 1]
-    resid, local_scale = operator_residual(f, EquationKind.general_mixed(params), X, Y)
-    rnorm = f.space.pnorm(resid)
-    phi_unit = phi_form.instantiate(1.0).value(X, Y)
-
-    dust = rnorm <= _ZERO_RESIDUAL_REL * local_scale
-    uncovered = (phi_unit == 0.0) & ~dust
-    if np.any(uncovered):
-        i = int(np.argmax(uncovered))
-        raise UnboundablePerturbationError(
-            f"control vanishes at (x, y) = ({X[i]:.6g}, {Y[i]:.6g}) where the "
-            f"residual is {rnorm[i]:.6g}; no finite theta covers it"
-        )
-    covered = phi_unit > 0.0
-    if not np.any(covered):
-        return 0.0
-    return _THETA_SAFETY * float(np.max(rnorm[covered] / phi_unit[covered]))
+    kind = EquationKind.general_mixed(params)
+    unit = phi_form.instantiate(1.0)
+    ratio = 0.0
+    for X, Y in pair_blocks(grid):
+        resid, local_scale = operator_residual(f, kind, X, Y)
+        rnorm = f.space.pnorm(resid)
+        phi_unit = unit.value(X, Y)
+        dust = rnorm <= _ZERO_RESIDUAL_REL * local_scale
+        uncovered = (phi_unit == 0.0) & ~dust
+        if np.any(uncovered):
+            i = int(np.argmax(uncovered))
+            raise UnboundablePerturbationError(
+                f"control vanishes at (x, y) = ({X[i]:.6g}, {Y[i]:.6g}) where the "
+                f"residual is {rnorm[i]:.6g}; no finite theta covers it"
+            )
+        covered = phi_unit > 0.0
+        if np.any(covered):
+            ratio = np.maximum(ratio, np.max(rnorm[covered] / phi_unit[covered]))
+    return _THETA_SAFETY * float(ratio)
 
 
 @dataclass(frozen=True)

@@ -208,16 +208,22 @@ def test_decompose_and_experiment_share_the_quadratic_cap(runner):
         {"max_n": True},
         {"poly": [["a"], 1, 1]},
         {"poly": [[1, 2], 1, 1]},
+        {"p": "0.5"},
+        {"tol": True},
+        {"p": 10**400},
+        {"poly": ["1", 1, 1]},
     ],
 )
 def test_config_unknown_key_exits_2(runner, tmp_path, overrides):
-    """Unknown keys, non-integral int fields and malformed poly entries exit 2."""
+    """Unknown keys, non-integral int fields, non-number float fields and
+    malformed poly entries exit 2."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     result = invoke(runner, "experiment", "--grid", "-1:1:3", "--config", str(cfg))
     assert result.exit_code == 2
     assert any(
-        what in result.stderr for what in ("unknown key", "expected an integer", "poly")
+        what in result.stderr
+        for what in ("unknown key", "expected an integer", "expected a number", "too large", "poly")
     )
 
 

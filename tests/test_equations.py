@@ -1,5 +1,7 @@
 """Difference operator, companion residuals, parity split, grid verification."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from stabeq import (
     EquationKind,
     EquationParams,
     FunctionHandle,
+    GridSpec,
     InvalidInputError,
     PNormSpace,
     biadditive_form,
@@ -356,6 +359,44 @@ def test_verify_solution_scale_is_largest_pair_scale():
         f, EquationKind.general_mixed(EquationParams(2)), pairs[:, 0], pairs[:, 1]
     )
     assert report.scale == np.max(scale)
+
+
+def full_array_report(f, params, pairs, tol):
+    """verify_solution written over whole arrays, as the reference."""
+    X, Y = pairs[:, 0], pairs[:, 1]
+    resid, scales = operator_residual(f, EquationKind.general_mixed(params), X, Y)
+    norms = f.space.pnorm(resid)
+    idx = int(np.argmax(norms))
+    scale = float(np.max(scales))
+    return {
+        "equation": "general_mixed",
+        "k": params.k,
+        "max_residual": float(norms[idx]),
+        "argmax_point": [float(X[idx]), float(Y[idx])],
+        "scale": scale,
+        "pass": bool(norms[idx] <= tol * scale),
+    }
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        # integer grid, exact arithmetic: 24 y^4 ties along the y = +-100
+        # columns of every row, in every block; the first pair must win
+        FunctionHandle(lambda xs: (xs**4)[:, None], SPACE1),
+        # NaN once x + 2|y| > 250, first in row x = 51, past the first block
+        FunctionHandle(lambda xs: np.where(xs > 250.0, np.nan, xs**4)[:, None], SPACE1),
+        poly_handle(1.0, -2.0, 0.5, PNormSpace(4, 0.5)),
+    ],
+    ids=["ties", "nan", "cubic-dim4"],
+)
+def test_verify_solution_blocks_match_the_full_array_reference(f):
+    grid = GridSpec(-100.0, 100.0, 201)
+    assert grid.count**2 > 2 * _BLOCK
+    want = full_array_report(f, EquationParams(2), grid.pairs(), 1e-9)
+    for g in (grid, grid.pairs()):
+        report = verify_solution(f, EquationParams(2), g, 1e-9)
+        assert report.dumps() == json.dumps(want, indent=2)
 
 
 def test_verify_solution_validation():

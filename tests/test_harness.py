@@ -1,6 +1,7 @@
 """Experiment harness: configs, calibration, reports, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from stabeq import (
     CSV_HEADER,
     Direction,
+    EquationKind,
     EquationParams,
     ExperimentConfig,
     GridSpec,
@@ -22,6 +24,7 @@ from stabeq import (
     report_to_json,
     run_experiment,
 )
+from stabeq.equations import _BLOCK, operator_residual
 
 SEEDED = ExperimentConfig(noise=NoiseSpec("bounded_smooth", 0.01, 42))
 
@@ -154,6 +157,51 @@ def test_make_test_function_vector_components_differ():
     assert len({round(v, 12) for v in out[0]}) == 3
 
 
+def row_major_reference(cfg, xs):
+    """The test map as written before it went component-major: (N, dim) ufuncs."""
+    dim = cfg.codomain_dim
+    a3, a2, a1 = (np.broadcast_to(np.asarray(c, dtype=float), (dim,)) for c in cfg.poly)
+    eps, lam = cfg.noise.amplitude, cfg.phi_form.power_scale()
+    omega = np.random.default_rng(cfg.noise.seed).uniform(0.5, 2.5, dim)
+    x = xs[:, None]
+    out = ((a3 * x + a2) * x + a1) * x
+    if cfg.noise.kind == "bounded_smooth":
+        out = out + eps * np.sin(omega * x)
+    elif cfg.noise.kind == "power_scaled" and lam == 0.0:
+        out = out + eps * (np.cos(omega * x) - 1.0)
+    elif cfg.noise.kind == "power_scaled":
+        out = out + eps * np.abs(x) ** lam * np.cos(omega * x)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "kind, phi",
+    [
+        ("none", PhiForm()),
+        ("bounded_smooth", PhiForm()),
+        ("power_scaled", PhiForm()),  # lambda = 0
+        ("power_scaled", PhiForm("sum", 4.0, 4.0)),  # lambda = 4
+        ("power_scaled", PhiForm("product", 0.5, 1.0)),  # lambda = 1.5
+    ],
+)
+def test_make_test_function_matches_the_row_major_formula(dim, kind, phi):
+    cfg = ExperimentConfig(
+        codomain_dim=dim,
+        poly=(1.5, tuple(np.linspace(-1.0, 2.0, dim)), -0.25),
+        noise=NoiseSpec(kind, 0.01, 17),
+        phi_form=phi,
+    )
+    rng = np.random.default_rng(dim)
+    xs = np.concatenate([rng.uniform(-60.0, 60.0, 4000), cfg.grid.points()])
+    f = make_test_function(cfg)
+    want = row_major_reference(cfg, xs) - row_major_reference(cfg, np.zeros(1))[0]
+    vals = f(xs)
+    assert np.array_equal(vals, want)
+    # the components-axis sum of the (N, dim) view reads as a row-major sum
+    assert np.array_equal(f.space.pnorm(vals), f.space.pnorm(np.ascontiguousarray(vals)))
+
+
 def test_power_scaled_noise_uses_control_exponent():
     cfg = ExperimentConfig(
         noise=NoiseSpec("power_scaled", 0.01, 3),
@@ -226,6 +274,79 @@ def test_calibrate_theta_rejects_bad_grid():
         calibrate_theta(f, EquationParams(2), PhiForm("constant"), np.zeros((0, 2)))
     with pytest.raises(InvalidInputError):
         calibrate_theta(f, EquationParams(2), PhiForm("constant"), np.zeros((4, 3)))
+
+
+def full_array_theta(f, params, phi_form, pairs):
+    """calibrate_theta written over whole count^2 arrays, as the reference."""
+    X, Y = pairs[:, 0], pairs[:, 1]
+    resid, local_scale = operator_residual(f, EquationKind.general_mixed(params), X, Y)
+    rnorm = f.space.pnorm(resid)
+    phi_unit = phi_form.instantiate(1.0).value(X, Y)
+    uncovered = (phi_unit == 0.0) & ~(rnorm <= 1e-12 * local_scale)
+    if np.any(uncovered):
+        i = int(np.argmax(uncovered))
+        return (
+            f"control vanishes at (x, y) = ({X[i]:.6g}, {Y[i]:.6g}) where the "
+            f"residual is {rnorm[i]:.6g}; no finite theta covers it"
+        ), i
+    covered = phi_unit > 0.0
+    if not np.any(covered):
+        return 0.0, None
+    return 1.01 * float(np.max(rnorm[covered] / phi_unit[covered])), None
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("phi", [PhiForm(), PhiForm("sum", 0.5, 0.5)])
+def test_calibrate_theta_matches_the_full_array_reference(dim, phi):
+    # 181 rows of 181 pairs: 90 rows per block, so the last block is one row
+    grid = GridSpec(-5.0, 5.0, 181)
+    assert grid.count**2 > _BLOCK and grid.count % (_BLOCK // grid.count) != 0
+    cfg = ExperimentConfig(
+        codomain_dim=dim, noise=NoiseSpec("bounded_smooth", 0.01, 5), phi_form=phi, grid=grid
+    )
+    f = make_test_function(cfg)
+    params = EquationParams(2)
+    want, _ = full_array_theta(f, params, phi, grid.pairs())
+    assert calibrate_theta(f, params, phi, grid) == want
+    assert calibrate_theta(f, params, phi, grid.pairs()) == want
+
+
+def test_calibrate_theta_names_the_first_uncovered_pair():
+    """The x = 0 row, where a product control vanishes, lies past the first
+    block; the error still names the pair the full-array scan finds first."""
+    grid = GridSpec(-5.0, 5.0, 301)
+    cfg = ExperimentConfig(
+        noise=NoiseSpec("power_scaled", 0.01, 9),
+        phi_form=PhiForm("product", 2.0, 2.0),
+        grid=grid,
+    )
+    f = make_test_function(cfg)
+    params = EquationParams(2)
+    want, i = full_array_theta(f, params, cfg.phi_form, grid.pairs())
+    assert i >= (_BLOCK // grid.count) * grid.count  # not in the first block
+    for g in (grid, grid.pairs()):
+        with pytest.raises(UnboundablePerturbationError) as exc:
+            calibrate_theta(f, params, cfg.phi_form, g)
+        assert str(exc.value) == want
+
+
+def calibration_peak_bytes(count):
+    cfg = ExperimentConfig(
+        codomain_dim=4,
+        noise=NoiseSpec("bounded_smooth", 0.01, 0),
+        grid=GridSpec(-5.0, 5.0, count),
+    )
+    f = make_test_function(cfg)
+    tracemalloc.start()
+    try:
+        calibrate_theta(f, EquationParams(2), cfg.phi_form, cfg.grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_calibrate_theta_memory_does_not_grow_with_the_grid():
+    assert calibration_peak_bytes(601) <= calibration_peak_bytes(201) + 2**20
 
 
 # --- experiments ----------------------------------------------------------
