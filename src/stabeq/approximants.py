@@ -166,13 +166,6 @@ class ConvergenceDiagnostics:
             converged=self.converged and other.converged,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "n_used": self.n_used,
-            "last_step": self.last_step,
-            "converged": self.converged,
-        }
-
 
 _NOTHING_EVALUATED = ConvergenceDiagnostics(0, 0.0, True)
 

@@ -13,11 +13,10 @@ import json
 import sys
 
 import click
-import numpy as np
 
 from .approximants import DEFAULT_MAX_N, DEFAULT_TOL
 from .bounds import BoundContext, bound_table
-from .equations import EquationParams, verify_solution
+from .equations import EquationParams, to_json, verify_solution
 from .errors import (
     CriticalExponentError,
     DivergentSeriesError,
@@ -133,7 +132,7 @@ def check(out, **flags):
     cfg = _build_config(**flags)
     f = make_test_function(cfg)
     report = verify_solution(f, EquationParams(cfg.k), cfg.grid, cfg.tol)
-    _emit(report.dumps(), out)
+    _emit(json.dumps(to_json(report), indent=2), out)
     sys.exit(0 if report.passed else 1)
 
 
@@ -146,15 +145,15 @@ def decompose(out, **flags):
     dec = decompose_stage(cfg, make_test_function(cfg))
     xs = cfg.grid.points()
     payload = {
-        "x": [float(v) for v in xs],
-        "A": np.asarray(dec.A(xs)).tolist(),
-        "Q": np.asarray(dec.Q(xs)).tolist(),
-        "C": np.asarray(dec.C(xs)).tolist(),
-        "offsets": dec.offsets.tolist(),
-        "directions": [int(d) for d in dec.directions],
-        "diagnostics": {name: d.to_json() for name, d in dec.diagnostics.items()},
+        "x": xs,
+        "A": dec.A(xs),
+        "Q": dec.Q(xs),
+        "C": dec.C(xs),
+        "offsets": dec.offsets,
+        "directions": dec.directions,
+        "diagnostics": dec.diagnostics,
     }
-    _emit(json.dumps(payload, indent=2), out)
+    _emit(json.dumps(to_json(payload), indent=2), out)
     converged = all(d.converged for d in dec.diagnostics.values())
     sys.exit(0 if converged else 1)
 

@@ -13,8 +13,8 @@ cubic-flavored equations are provided under the same interface.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -285,6 +285,36 @@ def biadditive_form(q: FunctionHandle, x, y) -> np.ndarray:
     return 0.25 * (q(xs + ys) - q(xs - ys))
 
 
+def json_key(f) -> str:
+    """A dataclass field's JSON key: its name unless its metadata names another."""
+    return f.metadata.get("json", f.name)
+
+
+@functools.cache
+def _json_fields(cls) -> tuple[tuple[str, str], ...]:
+    return tuple((json_key(f), f.name) for f in fields(cls))
+
+
+def to_json(value):
+    """value as plain JSON data, the one serializer of stabeq's outputs.
+
+    A dataclass becomes an object of its fields in order, keyed by json_key;
+    dicts and lists are walked and arrays become nested lists.  Everything
+    else (numbers, strings, None, int enums, tuples of numbers) is left for
+    json.dumps to write as it is, and is checked for first: a report is
+    mostly such leaves.
+    """
+    if value is None or isinstance(value, (int, float, str, tuple)):
+        return value
+    if is_dataclass(value):
+        return {key: to_json(getattr(value, name)) for key, name in _json_fields(type(value))}
+    if isinstance(value, dict):
+        return {key: to_json(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [to_json(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 @dataclass
 class SolutionReport:
     """Grid verification verdict for one equation and one candidate map."""
@@ -294,20 +324,7 @@ class SolutionReport:
     max_residual: float
     argmax_point: tuple[float, float]
     scale: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "equation": self.equation,
-            "k": self.k,
-            "max_residual": self.max_residual,
-            "argmax_point": list(self.argmax_point),
-            "scale": self.scale,
-            "pass": self.passed,
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+    passed: bool = field(metadata={"json": "pass"})
 
 
 def verify_solution(

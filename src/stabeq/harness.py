@@ -4,14 +4,15 @@ The pipeline builds a cubic+quadratic+additive polynomial with a seeded
 perturbation, calibrates the smallest power control dominating the measured
 residual on a grid, decomposes the function, and checks the recovered
 components against the full stability bound pointwise.  Reports serialize to
-CSV (fixed column set, 17 significant digits) and JSON; identical configs
-produce byte-identical output.
+CSV (ReportRow's fields as columns, 17 significant digits) and JSON (to_json);
+identical configs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +20,6 @@ import numpy as np
 from .approximants import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
-    ConvergenceDiagnostics,
     DecompositionResult,
     Direction,
     decompose_full,
@@ -30,8 +30,10 @@ from .equations import (
     EquationParams,
     FunctionHandle,
     horner_cubic,
+    json_key,
     operator_residual,
     pair_blocks,
+    to_json,
 )
 from .errors import InvalidInputError, UnboundablePerturbationError
 from .quasinorm import PNormSpace
@@ -70,6 +72,8 @@ class NoiseSpec:
             raise InvalidInputError(
                 f"noise amplitude must be finite and >= 0, got {self.amplitude!r}"
             )
+        if self.seed < 0:
+            raise InvalidInputError(f"noise seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -87,12 +91,8 @@ class PhiForm:
         return PowerBound(form=self.form, theta=theta, r=self.r, s=self.s)
 
     def power_scale(self) -> float:
-        """The lambda used by power_scaled noise."""
-        if self.form == "product":
-            return self.r + self.s
-        if self.form == "sum":
-            return max(self.r, self.s)
-        return 0.0
+        """The lambda used by power_scaled noise: phi's largest growth degree."""
+        return max(self.instantiate(1.0).exponents())
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,6 @@ class ExperimentConfig:
         if self.max_n < 1:
             raise InvalidInputError("max_n must be >= 1")
 
-    def to_json(self) -> dict:
-        return _config_to_json(self)
-
     @classmethod
     def from_json(
         cls, data: dict, base: ExperimentConfig | None = None
@@ -176,33 +173,16 @@ def _json_float(raw) -> float:
     return float(raw)
 
 
-# The JSON schema is the dataclass fields: a field's key is its name unless
-# its metadata names another, nested dataclasses are nested objects, scalars
-# convert by their declared type, and poly is a list of per-component
-# coefficient lists.
+# The JSON schema is the dataclass fields, as to_json writes them: keys by
+# json_key, nested dataclasses as nested objects, scalars converted by their
+# declared type, and poly entries as numbers or per-component lists.
 _SCALAR_TYPES = {"int": _json_int, "float": _json_float, "str": str}
-
-
-def _json_key(f) -> str:
-    return f.metadata.get("json", f.name)
-
-
-def _config_to_json(obj) -> dict:
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            value = _config_to_json(value)
-        elif f.name == "poly":
-            value = [np.atleast_1d(np.asarray(c, dtype=float)).tolist() for c in value]
-        out[_json_key(f)] = value
-    return out
 
 
 def _config_from_json(base, data, where: str):
     if not isinstance(data, dict):
         raise InvalidInputError(f"{where} must be a JSON object")
-    schema = {_json_key(f): f for f in fields(base)}
+    schema = {json_key(f): f for f in fields(base)}
     unknown = sorted(set(data) - set(schema))
     if unknown:
         raise InvalidInputError(f"unknown key(s) in {where}: {', '.join(unknown)}")
@@ -296,6 +276,8 @@ def calibrate_theta(
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One grid point of a report; its fields are the CSV columns and JSON row keys."""
+
     x: float
     f: tuple[float, ...]
     A: tuple[float, ...]
@@ -314,32 +296,7 @@ class StabilityReport:
     theta_used: float
     directions: tuple[Direction, Direction, Direction]
     diagnostics: dict
-    passed: bool
-
-    def to_json(self) -> dict:
-        diag = {
-            name: d.to_json() if isinstance(d, ConvergenceDiagnostics) else d
-            for name, d in self.diagnostics.items()
-        }
-        return {
-            "rows": [
-                {
-                    "x": row.x,
-                    "f": list(row.f),
-                    "A": list(row.A),
-                    "Q": list(row.Q),
-                    "C": list(row.C),
-                    "residual": row.residual,
-                    "bound": row.bound,
-                    "margin": row.margin,
-                }
-                for row in self.rows
-            ],
-            "theta_used": self.theta_used,
-            "directions": [int(d) for d in self.directions],
-            "diagnostics": diag,
-            "pass": self.passed,
-        }
+    passed: bool = field(metadata={"json": "pass"})
 
 
 # Margin slack: a row fails only when margin < -1e-12 * (1 + bound).
@@ -381,20 +338,10 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     diag_summary = dict(diagnostics)
     diag_summary["quadratic_bound_zero"] = ctx.quad_zero
 
+    vectors = (map(tuple, v.tolist()) for v in (fx, Ax, Qx, Cx))
     rows = [
-        ReportRow(
-            x=float(x),
-            f=tuple(float(v) for v in fv),
-            A=tuple(float(v) for v in av),
-            Q=tuple(float(v) for v in qv),
-            C=tuple(float(v) for v in cv),
-            residual=float(rn),
-            bound=float(bn),
-            margin=float(mg),
-        )
-        for x, fv, av, qv, cv, rn, bn, mg in zip(
-            xs, fx, Ax, Qx, Cx, resid, bound, margin
-        )
+        ReportRow(*cells)
+        for cells in zip(xs.tolist(), *vectors, resid.tolist(), bound.tolist(), margin.tolist())
     ]
     return StabilityReport(
         rows=rows,
@@ -409,39 +356,29 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _cell(vec: tuple[float, ...]) -> str:
-    return ";".join(_fmt(v) for v in vec)
+def _cell(value) -> str:
+    if isinstance(value, tuple):
+        return ";".join(_fmt(v) for v in value)
+    return _fmt(value)
 
 
-CSV_HEADER = "x,f,A,Q,C,residual,bound,margin"
+_COLUMNS = [f.name for f in fields(ReportRow)]
+_row_cells = attrgetter(*_COLUMNS)
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def report_to_csv(report: StabilityReport) -> str:
-    """Fixed column set, 17 significant digits, one row per grid point.
+    """ReportRow's fields as columns, 17 significant digits, one row per point.
 
     Vector-valued cells (codomain_dim > 1) are semicolon-joined.
     """
     lines = [CSV_HEADER]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.x),
-                    _cell(row.f),
-                    _cell(row.A),
-                    _cell(row.Q),
-                    _cell(row.C),
-                    _fmt(row.residual),
-                    _fmt(row.bound),
-                    _fmt(row.margin),
-                ]
-            )
-        )
+    lines.extend(",".join(map(_cell, _row_cells(row))) for row in report.rows)
     return "\n".join(lines) + "\n"
 
 
 def report_to_json(report: StabilityReport) -> str:
-    return json.dumps(report.to_json(), indent=2) + "\n"
+    return json.dumps(to_json(report), indent=2) + "\n"
 
 
 def emit_report(report: StabilityReport, format: str) -> str:

@@ -41,13 +41,21 @@ class PNormSpace:
         """(sum_i |v_i|^p)^(1/p) over the last axis.
 
         Accepts shape (dim,) or (..., dim); returns a scalar or shape (...,).
+        The powers are summed in index order, one component at a time, and
+        the sums stay arrays until the root is taken (numpy's scalar power
+        can round differently), so a vector gets one norm whatever the
+        memory layout of its array and whether it comes alone or in a batch.
         """
         v = np.asarray(v, dtype=float)
         if v.shape[-1] != self.dim:
             raise InvalidInputError(
                 f"vector has {v.shape[-1]} components, space has dim {self.dim}"
             )
-        out = np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
+        powers = np.abs(v) ** self.p
+        total = powers[..., :1]
+        for i in range(1, self.dim):
+            total = total + powers[..., i : i + 1]
+        out = (total ** (1.0 / self.p))[..., 0]
         return float(out) if out.ndim == 0 else out
 
 

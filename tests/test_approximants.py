@@ -24,6 +24,7 @@ from stabeq import (
     make_test_function,
     parity_split,
     take_limit,
+    to_json,
 )
 from stabeq.approximants import default_probes
 
@@ -229,7 +230,7 @@ def test_limit_function_diagnostics_accumulate():
     merged = lf.diagnostics
     assert merged.n_used >= 1
     assert merged.converged
-    assert set(merged.to_json()) == {"n_used", "last_step", "converged"}
+    assert set(to_json(merged)) == {"n_used", "last_step", "converged"}
 
 
 def test_limit_function_handle_normalization():

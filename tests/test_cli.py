@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from stabeq import CSV_HEADER
+from stabeq import CSV_HEADER, ExperimentConfig, to_json
 from stabeq.cli import main
 
 
@@ -191,6 +191,14 @@ def test_experiment_config_overrides_flags(runner, tmp_path):
     assert len(payload["rows"]) == 101
 
 
+def test_config_written_by_to_json_loads_at_dim_4(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(to_json(ExperimentConfig(codomain_dim=4))))
+    result = invoke(runner, "experiment", "--grid=-1:1:5", "--config", str(cfg))
+    assert result.exit_code == 0, result.stderr
+    assert len(json.loads(result.output)["rows"][0]["f"]) == 4
+
+
 def test_decompose_and_experiment_share_the_quadratic_cap(runner):
     shape = ("--k", "3", "--p", "0.5", "--phi", "sum:4:4", "--noise", "power_scaled:0.01:0", "--max-n", "5")
     dec = json.loads(invoke(runner, "decompose", *shape).output)["diagnostics"]
@@ -212,6 +220,7 @@ def test_decompose_and_experiment_share_the_quadratic_cap(runner):
         {"tol": True},
         {"p": 10**400},
         {"poly": ["1", 1, 1]},
+        {"noise": {"seed": -1}},
     ],
 )
 def test_config_unknown_key_exits_2(runner, tmp_path, overrides):
@@ -223,7 +232,7 @@ def test_config_unknown_key_exits_2(runner, tmp_path, overrides):
     assert result.exit_code == 2
     assert any(
         what in result.stderr
-        for what in ("unknown key", "expected an integer", "expected a number", "too large", "poly")
+        for what in ("unknown key", "expected an integer", "expected a number", "too large", "poly", "seed")
     )
 
 
@@ -282,6 +291,8 @@ def test_experiment_unboundable_perturbation_exits_1(runner):
         ("check", "--poly", "inf,0,0", "--grid", "-1:1:3"),
         ("decompose", "--poly", "inf,0,0", "--grid", "-1:1:3"),
         ("check", "--poly", "nan,1,1"),
+        ("experiment", "--noise", "bounded_smooth:0.01:-1", "--grid=-1:1:5"),
+        ("check", "--noise", "bounded_smooth:0.01:-3"),
     ],
 )
 def test_malformed_flags_exit_2(runner, args):

@@ -23,6 +23,8 @@ from stabeq import (
     report_to_csv,
     report_to_json,
     run_experiment,
+    to_json,
+    verify_solution,
 )
 from stabeq.equations import _BLOCK, operator_residual
 
@@ -40,6 +42,8 @@ def test_noise_spec_validation():
         NoiseSpec("pink", 0.1)
     with pytest.raises(InvalidInputError):
         NoiseSpec("bounded_smooth", -0.1)
+    with pytest.raises(InvalidInputError, match="seed"):
+        NoiseSpec("bounded_smooth", 0.01, -1)
     assert NoiseSpec().kind == "none"
 
 
@@ -51,6 +55,8 @@ def test_phi_form_validation_and_power_scale():
     assert PhiForm("constant").power_scale() == 0.0
     assert PhiForm("sum", 1.5, 4.0).power_scale() == 4.0
     assert PhiForm("product", 1.5, 2.0).power_scale() == 3.5
+    assert PhiForm("sum", 0.0, 2.5).power_scale() == 2.5
+    assert PhiForm("sum", 3.0, 0.0).power_scale() == 3.0
 
 
 def test_grid_spec():
@@ -89,10 +95,29 @@ def test_config_json_round_trip():
         tol=1e-8,
         max_n=20,
     )
-    blob = json.dumps(cfg.to_json())
+    blob = json.dumps(to_json(cfg))
     back = ExperimentConfig.from_json(json.loads(blob))
-    assert back.to_json() == cfg.to_json()
+    assert to_json(back) == to_json(cfg)
     assert back.grid == cfg.grid and back.noise == cfg.noise
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig(),
+        ExperimentConfig(codomain_dim=2),
+        ExperimentConfig(codomain_dim=4),
+        ExperimentConfig(codomain_dim=2, poly=((1.0, 2.0), 0.5, (3.0, 0.0))),
+    ],
+    ids=["dim1", "dim2", "dim4", "mixed"],
+)
+def test_config_json_round_trip_keeps_scalar_coefficients(cfg):
+    data = json.loads(json.dumps(to_json(cfg)))
+    assert ExperimentConfig.from_json(data) == cfg
+    # scalar coefficients are written as numbers, vectors as lists
+    assert [isinstance(c, list) for c in data["poly"]] == [
+        isinstance(c, tuple) for c in cfg.poly
+    ]
 
 
 def test_config_from_json_fills_defaults():
@@ -409,7 +434,7 @@ def test_run_experiment_product_control_flags_quad_zero():
 
 def test_report_json_structure():
     report = run_experiment(ExperimentConfig(grid=GridSpec(-2.0, 2.0, 5)))
-    data = report.to_json()
+    data = json.loads(json.dumps(to_json(report)))
     assert set(data) == {"rows", "theta_used", "directions", "diagnostics", "pass"}
     assert data["pass"] is True
     assert data["directions"] == [-1, -1, -1]
@@ -422,10 +447,83 @@ def test_report_json_structure():
 # --- serialization --------------------------------------------------------
 
 
+# Hand-written serializers the reports had before to_json derived them from
+# the dataclass fields; they pin the bytes to_json must keep producing.
+def reference_diagnostics_json(d):
+    return {
+        "n_used": d.n_used,
+        "last_step": d.last_step,
+        "converged": d.converged,
+    }
+
+
+def reference_stability_json(report):
+    diag = {
+        name: d if isinstance(d, bool) else reference_diagnostics_json(d)
+        for name, d in report.diagnostics.items()
+    }
+    return {
+        "rows": [
+            {
+                "x": row.x,
+                "f": list(row.f),
+                "A": list(row.A),
+                "Q": list(row.Q),
+                "C": list(row.C),
+                "residual": row.residual,
+                "bound": row.bound,
+                "margin": row.margin,
+            }
+            for row in report.rows
+        ],
+        "theta_used": report.theta_used,
+        "directions": [int(d) for d in report.directions],
+        "diagnostics": diag,
+        "pass": report.passed,
+    }
+
+
+def reference_solution_json(report):
+    return {
+        "equation": report.equation,
+        "k": report.k,
+        "max_residual": report.max_residual,
+        "argmax_point": list(report.argmax_point),
+        "scale": report.scale,
+        "pass": report.passed,
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_to_json_writes_the_reference_report_bytes(dim):
+    cfg = ExperimentConfig(
+        codomain_dim=dim,
+        noise=NoiseSpec("bounded_smooth", 0.01, 3),
+        phi_form=PhiForm("product", 2.0, 2.0),
+        grid=GridSpec(-4.0, 4.0, 21),
+    )
+    report = run_experiment(cfg)
+    assert report.diagnostics["quadratic_bound_zero"] is True
+    want = json.dumps(reference_stability_json(report), indent=2)
+    assert json.dumps(to_json(report), indent=2) == want
+    assert report_to_json(report) == want + "\n"
+    for d in report.diagnostics.values():
+        if not isinstance(d, bool):
+            assert json.dumps(to_json(d), indent=2) == json.dumps(
+                reference_diagnostics_json(d), indent=2
+            )
+
+    f = make_test_function(cfg)
+    solution = verify_solution(f, EquationParams(cfg.k), cfg.grid, cfg.tol)
+    assert json.dumps(to_json(solution), indent=2) == json.dumps(
+        reference_solution_json(solution), indent=2
+    )
+
+
 def test_csv_header_and_shape():
     report = run_experiment(ExperimentConfig(grid=GridSpec(-2.0, 2.0, 5)))
     lines = report_to_csv(report).splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == "x,f,A,Q,C,residual,bound,margin"
     assert len(lines) == 6
     assert all(line.count(",") == 7 for line in lines[1:])
 

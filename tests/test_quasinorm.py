@@ -118,3 +118,25 @@ def test_power_sum_residual_validation():
         power_sum_residual(np.array([-1.0, 2.0]), 0.5)
     with pytest.raises(InvalidInputError):
         power_sum_residual(np.array([np.inf]), 0.5)
+
+
+@pytest.mark.parametrize("dim", [8, 9, 12])
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_pnorm_does_not_depend_on_memory_layout(dim, p):
+    rows = np.random.default_rng(dim).standard_normal((1000, dim)) * 10.0 ** np.arange(dim)
+    space = PNormSpace(dim, p)
+    c_order = space.pnorm(np.ascontiguousarray(rows))
+    f_order = space.pnorm(np.asfortranarray(rows))
+    assert c_order.tobytes() == f_order.tobytes()
+    in_order = 0.0
+    for i in range(dim):
+        in_order = in_order + np.abs(rows[:, i]) ** p
+    assert c_order.tobytes() == (in_order ** (1.0 / p)).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7, 12])
+def test_pnorm_of_one_vector_matches_its_batch_norm(dim):
+    rows = np.random.default_rng(dim).standard_normal((1000, dim)) * 10.0 ** np.arange(dim)
+    space = PNormSpace(dim, 0.5)
+    batch = space.pnorm(rows)
+    assert [space.pnorm(row) for row in rows] == batch.tolist()
