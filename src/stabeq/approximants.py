@@ -16,6 +16,7 @@ the point diverged and keeps the last finite value rather than raising.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -93,29 +94,41 @@ class IterationSpec:
         return DEFAULT_MAX_N
 
 
-def _iterate_values(spec: IterationSpec, f: FunctionHandle, X: np.ndarray, n: int):
-    """Value and rounding scale of the n-th iterate at the points X.
+def _arguments(spec: IterationSpec, X: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The points the n-th iterate reads f at: X / k^(nj), or (2u, u) with u = X / 2^(nj)."""
+    j = int(spec.direction)
+    if spec.kind is IterKind.QUADRATIC:
+        return (X * float(spec.params.k) ** (-n * j),)
+    u = X * 2.0 ** (-n * j)
+    return 2.0 * u, u
 
+
+def _combine(spec: IterationSpec, n: int, evals) -> tuple[np.ndarray, np.ndarray]:
+    """Value and rounding scale of the n-th iterate.
+
+    evals holds f's (values, magnitude) at each of _arguments(spec, X, n).
     Returns (values, magnitude), both shape (N, dim).  magnitude carries the
-    scaled absolute sizes of the function evaluations entering the combination;
-    eps times its pnorm is the level below which Cauchy steps are float noise,
-    not information about the limit.
+    scaled absolute sizes of the function evaluations entering the
+    combination; eps times its pnorm is the level below which Cauchy steps
+    are float noise, not information about the limit.
     """
     j = int(spec.direction)
+    if spec.kind is IterKind.QUADRATIC:
+        ((v, m),) = evals
+        scale = float(spec.params.k) ** (2 * n * j)
+        return scale * v, abs(scale) * m
+    (v2, m2), (v1, m1) = evals
+    if spec.kind is IterKind.ADDITIVE:
+        scale = 2.0 ** (n * j)
+        return scale * (v2 - 8.0 * v1), abs(scale) * (m2 + 8.0 * m1)
+    scale = 8.0 ** (n * j)
+    return scale * (v2 - 2.0 * v1), abs(scale) * (m2 + 2.0 * m1)
+
+
+def _iterate_values(spec: IterationSpec, f: FunctionHandle, X: np.ndarray, n: int):
+    """_combine's (values, magnitude) of the n-th iterate at the points X."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind is IterKind.QUADRATIC:
-            k = float(spec.params.k)
-            v, m = f.evaluate(X * k ** (-n * j))
-            scale = k ** (2 * n * j)
-            return scale * v, abs(scale) * m
-        args = X * 2.0 ** (-n * j)
-        v2, m2 = f.evaluate(2.0 * args)
-        v1, m1 = f.evaluate(args)
-        if spec.kind is IterKind.ADDITIVE:
-            scale = 2.0 ** (n * j)
-            return scale * (v2 - 8.0 * v1), abs(scale) * (m2 + 8.0 * m1)
-        scale = 8.0 ** (n * j)
-        return scale * (v2 - 2.0 * v1), abs(scale) * (m2 + 2.0 * m1)
+        return _combine(spec, n, [f.evaluate(a) for a in _arguments(spec, X, n)])
 
 
 def iterate_quadratic(
@@ -170,9 +183,112 @@ class ConvergenceDiagnostics:
 _NOTHING_EVALUATED = ConvergenceDiagnostics(0, 0.0, True)
 
 
-def take_limit(
-    spec: IterationSpec, f: FunctionHandle, x
-) -> tuple[np.ndarray, ConvergenceDiagnostics]:
+class _Ladder:
+    """f at the arguments of every level of one iteration, each read once.
+
+    Level n of the odd kinds reads f at 2u and u, u = x / 2^(nj), and one of
+    the two is the argument level n-1 read anew.  On EXPAND, u is the last
+    level's 2u; doubling is exact, so it is always reused.  On CONTRACT, 2u
+    is the last level's u except where x / 2^n rounded in the subnormals.
+    An argument is reused only where it equals the earlier one bit for bit,
+    so the values are those of evaluating afresh, and each level after the
+    first costs one evaluation per point.  The quadratic kind reads one
+    argument per level and reuses nothing.
+    """
+
+    def __init__(self, spec: IterationSpec, f: FunctionHandle, X: np.ndarray):
+        self._spec, self._f, self._X = spec, f, X
+        # Index into _arguments' (2u, u) of the argument each level reads anew.
+        self._new = 0 if spec.direction == Direction.EXPAND else 1
+        # That argument and f's values there, per point, from the last level.
+        self._arg = self._vals = self._mag = None
+
+    def level(self, n: int, idx: np.ndarray) -> list:
+        """f's (values, magnitude) at each argument of level n, at the points X[idx]."""
+        args = _arguments(self._spec, self._X[idx], n)
+        if len(args) == 1:
+            return [self._f.evaluate(args[0])]
+        new, old = self._new, 1 - self._new
+        evals = [None, None]
+        evals[new] = self._f.evaluate(args[new])
+        if self._arg is None:  # level 0 reads every point
+            evals[old] = self._f.evaluate(args[old])
+            self._arg = args[new]
+            self._vals, self._mag = (a.copy() for a in evals[new])
+            return evals
+        vals, mag = self._vals[idx], self._mag[idx]
+        # Both arguments carry x's sign, so != parts from a bitwise test only
+        # at a NaN, which is then evaluated afresh.
+        miss = self._arg[idx] != args[old]
+        if miss.any():
+            vals[miss], mag[miss] = self._f.evaluate(args[old][miss])
+        evals[old] = (vals, mag)
+        self._arg[idx] = args[new]
+        self._vals[idx], self._mag[idx] = evals[new]
+        return evals
+
+
+class _Limit:
+    """The Cauchy stopping rule of one iteration, over the points still active."""
+
+    def __init__(self, spec: IterationSpec, space: PNormSpace, first: np.ndarray):
+        n_pts = len(first)
+        self._spec = spec
+        self._space = space
+        self._prev = first
+        self._result = first.copy()
+        self._n_used = np.zeros(n_pts, dtype=int)
+        self._last_step = np.zeros(n_pts)
+        self._converged = np.zeros(n_pts, dtype=bool)
+        self._armed = np.zeros(n_pts, dtype=bool)  # previous step was already small
+        self._prev_step = np.full(n_pts, np.inf)
+        self.active = np.arange(n_pts)
+        self.live = np.ones(n_pts, dtype=bool)  # active as a mask
+
+    def advance(self, n: int, idx: np.ndarray, evals) -> None:
+        """Take level n, whose f-values evals were read at the points idx."""
+        space, active = self._space, self.active
+        if active.size != idx.size:  # active is a subset of idx
+            mine = self.live[idx]
+            evals = [(v[mine], m[mine]) for v, m in evals]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cur, mag = _combine(self._spec, n, evals)
+        with np.errstate(invalid="ignore"):
+            step = space.pnorm(cur - self._prev[active])
+        finite = np.isfinite(cur).all(axis=-1)
+        guard = finite[:, None]
+        tol_eff = self._spec.tol * (1.0 + space.pnorm(np.where(guard, cur, 0.0)))
+        floor = _FLOOR_SAFETY * _EPS * space.pnorm(np.where(guard, mag, 0.0))
+        small = finite & (step <= np.maximum(tol_eff, floor))
+        confirmed = self._armed[active] & (step <= self._prev_step[active])
+        ok = small & (confirmed | (step <= floor))
+        blown = ~finite
+
+        self._result[active[finite]] = cur[finite]
+        self._n_used[active] = n
+        self._last_step[active[finite]] = step[finite]
+        self._last_step[active[blown]] = np.inf
+        self._converged[active[ok]] = True
+        self._armed[active] = small
+        self._prev_step[active] = step
+
+        keep = ~(ok | blown) & (n < self._spec.cap)
+        self.live[active[~keep]] = False
+        self.active = active[keep]
+        self._prev[self.active] = cur[keep]
+
+    def finish(self, xs: np.ndarray) -> tuple[np.ndarray, ConvergenceDiagnostics]:
+        diag = ConvergenceDiagnostics(
+            n_used=int(self._n_used.max(initial=0)),
+            last_step=float(self._last_step.max(initial=0.0)),
+            converged=bool(self._converged.all()),
+        )
+        result = self._result
+        vals = result[0] if xs.ndim == 0 else result.reshape(xs.shape + result.shape[-1:])
+        return vals, diag
+
+
+def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandle, x):
     """Run the iteration to its Cauchy limit at each point of x.
 
     Returns (values, diagnostics).  A step is small at n when
@@ -190,60 +306,41 @@ def take_limit(
     keeps the last finite iterate and records last_step = inf).
 
     The floor is eps times the rounding scale of the iterate (see
-    _iterate_values).  Without it, an expanding iteration on a function with
+    _combine).  Without it, an expanding iteration on a function with
     large high-order content keeps running after the true step has sunk into
     cancellation noise, and the noise eventually grows or collides to an
     exactly repeated wrong value.  With it, the loop stops at the most
     accurate iterate float64 can represent and reports that as converged;
     last_step records the accuracy actually achieved.
+
+    spec may also be a tuple of odd-kind specs with one direction (A's and
+    C's).  They then run on one _Ladder: each level's f-values serve every
+    spec still active at the point, and a tuple of (values, diagnostics)
+    pairs comes back, each bitwise equal to that spec's own take_limit.
     """
+    specs = spec if isinstance(spec, tuple) else (spec,)
+    if not specs or len(specs) > 1 and any(
+        s.kind is IterKind.QUADRATIC or s.direction != specs[0].direction for s in specs
+    ):
+        raise InvalidInputError("a ladder takes one spec, or odd-kind specs of one direction")
     xs = np.asarray(x, dtype=float)
     X = xs.reshape(-1)
-    space = f.space
-    prev, _ = _iterate_values(spec, f, X, 0)
-    result = prev.copy()
-    n_pts = X.size
-    n_used = np.zeros(n_pts, dtype=int)
-    last_step = np.zeros(n_pts)
-    converged = np.zeros(n_pts, dtype=bool)
-    armed = np.zeros(n_pts, dtype=bool)  # previous step was already small
-    prev_step = np.full(n_pts, np.inf)
-    active = np.arange(n_pts)
-
-    for n in range(1, spec.cap + 1):
-        cur, mag = _iterate_values(spec, f, X[active], n)
-        with np.errstate(invalid="ignore"):
-            step = space.pnorm(cur - prev[active])
-        finite = np.isfinite(cur).all(axis=-1)
-        guard = finite[:, None]
-        tol_eff = spec.tol * (1.0 + space.pnorm(np.where(guard, cur, 0.0)))
-        floor = _FLOOR_SAFETY * _EPS * space.pnorm(np.where(guard, mag, 0.0))
-        small = finite & (step <= np.maximum(tol_eff, floor))
-        confirmed = armed[active] & (step <= prev_step[active])
-        ok = small & (confirmed | (step <= floor))
-        blown = ~finite
-
-        result[active[finite]] = cur[finite]
-        n_used[active] = n
-        last_step[active[finite]] = step[finite]
-        last_step[active[blown]] = np.inf
-        converged[active[ok]] = True
-        armed[active] = small
-        prev_step[active] = step
-
-        keep = ~(ok | blown)
-        active = active[keep]
-        if active.size == 0:
+    ladder = _Ladder(specs[0], f, X)
+    everyone = np.arange(X.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = ladder.level(0, everyone)
+        limits = [_Limit(s, f.space, _combine(s, 0, first)[0]) for s in specs]
+    for n in range(1, max(s.cap for s in specs) + 1):
+        live = [lim for lim in limits if lim.active.size]
+        if not live:
             break
-        prev[active] = cur[keep]
-
-    diag = ConvergenceDiagnostics(
-        n_used=int(n_used.max(initial=0)),
-        last_step=float(last_step.max(initial=0.0)),
-        converged=bool(converged.all()),
-    )
-    vals = result[0] if xs.ndim == 0 else result.reshape(xs.shape + (space.dim,))
-    return vals, diag
+        idx = everyone[functools.reduce(np.logical_or, (lim.live for lim in live))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            evals = ladder.level(n, idx)
+        for lim in live:
+            lim.advance(n, idx, evals)
+    out = tuple(lim.finish(xs) for lim in limits)
+    return out if isinstance(spec, tuple) else out[0]
 
 
 class LimitFunction(FunctionHandle):
@@ -251,25 +348,28 @@ class LimitFunction(FunctionHandle):
 
     Evaluations run take_limit on the requested points and scale by a
     constant.  .diagnostics is the worst case over every point evaluated so
-    far (n_used 0 before the first evaluation).
+    far (n_used 0 before the first evaluation).  Construction evaluates
+    nothing: base vanishes at 0, so every iterate and the limit are signed
+    zeros there, and the offset is scale * 0 (-0.0 under A's negative scale,
+    which keeps A's value at x = 0 a +0.0).
     """
 
-    def __init__(
-        self,
-        spec: IterationSpec,
-        base: FunctionHandle,
-        scale: float = 1.0,
-    ):
+    def __init__(self, spec: IterationSpec, base: FunctionHandle, scale: float = 1.0):
         self.spec = spec
-
-        def fn(xs: np.ndarray) -> np.ndarray:
-            vals, diag = take_limit(spec, base, xs)
-            self.diagnostics = self.diagnostics.merge(diag)
-            return scale * vals
-
+        self.base = base
+        self.space = base.space
+        self._scale = scale
+        self.offset = scale * np.zeros(base.space.dim)
         self.diagnostics = _NOTHING_EVALUATED
-        super().__init__(fn, base.space)
-        self.diagnostics = _NOTHING_EVALUATED  # drop the offset-normalization call at 0
+
+    def _eval(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vals = self.settle(*take_limit(self.spec, self.base, xs))
+        return vals, np.abs(vals) + np.abs(self.offset)
+
+    def settle(self, vals: np.ndarray, diag: ConvergenceDiagnostics) -> np.ndarray:
+        """This handle's values from take_limit's result for its spec; merges diag."""
+        self.diagnostics = self.diagnostics.merge(diag)
+        return self._scale * vals - self.offset
 
 
 def _odd_limits(
@@ -319,7 +419,16 @@ class DecompositionResult:
         }
 
     def components_at(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.A(x), self.Q(x), self.C(x)
+        """A(x), Q(x) and C(x), bitwise as the three calls give them.
+
+        When A and C iterate one base in one direction, both come from one
+        take_limit call that reads each odd-part value once for the two.
+        """
+        A, C = self.A, self.C
+        if A.base is not C.base or A.spec.direction != C.spec.direction:
+            return A(x), self.Q(x), C(x)
+        (va, da), (vc, dc) = take_limit((A.spec, C.spec), A.base, x)
+        return A.settle(va, da), self.Q(x), C.settle(vc, dc)
 
 
 def decompose_full(

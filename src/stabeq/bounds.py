@@ -353,7 +353,16 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
     """
     kind = _as_series_kind(kind)
     xs = np.asarray(x, dtype=float)
-    flat = np.abs(xs.reshape(-1))
+    # Sum once per distinct |x|: the terms are pointwise, and the stopping
+    # tests (all finite, all below the tail) see the same set of values.  A
+    # dict finds them without np.unique's sort, whose kernels alone add
+    # about 0.3 MB to the peak RSS of a 101-point certificate.
+    first_seen: dict[float, int] = {}
+    inverse = np.array(
+        [first_seen.setdefault(v, len(first_seen)) for v in np.abs(xs.reshape(-1)).tolist()],
+        dtype=np.intp,
+    )
+    flat = np.array(list(first_seen), dtype=float)
     total = np.zeros_like(flat)
     vanishes = ctx.phi.theta == 0.0 or (
         kind is SeriesKind.QUADRATIC and quadratic_series_vanishes(ctx.phi)
@@ -376,7 +385,9 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
             if n_finite == 0:
                 break
             terms = terms[:n_finite]
-            total += terms.sum(axis=0)
+            # cumsum adds in index order for any number of points, where
+            # sum would add a lone point's terms pairwise.
+            total += np.cumsum(terms, axis=0)[-1]
             last = terms[-1]
             i += _CHUNK
             tail = last * (rho / (1.0 - rho))
@@ -386,7 +397,7 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
                 break
         if n_terms is None:
             total += last * (rho / (1.0 - rho))
-    out = total.reshape(xs.shape)
+    out = total[inverse].reshape(xs.shape)
     return float(out) if xs.ndim == 0 else out
 
 

@@ -144,11 +144,12 @@ def decompose(out, **flags):
     cfg = _build_config(**flags)
     dec = decompose_stage(cfg, make_test_function(cfg))
     xs = cfg.grid.points()
+    A, Q, C = dec.components_at(xs)
     payload = {
         "x": xs,
-        "A": dec.A(xs),
-        "Q": dec.Q(xs),
-        "C": dec.C(xs),
+        "A": A,
+        "Q": Q,
+        "C": C,
         "offsets": dec.offsets,
         "directions": dec.directions,
         "diagnostics": dec.diagnostics,

@@ -248,9 +248,12 @@ class _ParityPart(FunctionHandle):
     """
 
     def __init__(self, whole: FunctionHandle, odd: bool):
+        # No evaluation at construction: whole vanishes at +-0, so the part
+        # does too, and its offset is 0.
         self._whole = whole
         self._odd = odd
-        super().__init__(None, whole.space)  # _eval reads whole, not a callable
+        self.space = whole.space
+        self.offset = np.zeros(whole.space.dim)
 
     def _eval(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         plus, plus_mag = self._whole._eval(xs)

@@ -326,7 +326,8 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     ctx = BoundContext.create(params, space, phi, dec.directions)
 
     xs = cfg.grid.points()
-    fx, Ax, Qx, Cx = f(xs), dec.A(xs), dec.Q(xs), dec.C(xs)
+    fx = f(xs)
+    Ax, Qx, Cx = dec.components_at(xs)
     resid = np.atleast_1d(space.pnorm(fx - (Ax + Qx + Cx)))
     bound = np.atleast_1d(stability_bound(BoundKind.FULL, ctx, xs))
     margin = bound - resid

@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabeq import (
+    ConvergenceDiagnostics,
     Direction,
     EquationParams,
     ExperimentConfig,
     FunctionHandle,
+    GridSpec,
     InvalidInputError,
     IterationSpec,
     IterKind,
     LimitFunction,
     NoiseSpec,
+    PhiForm,
     PNormSpace,
     decompose_full,
     decompose_odd,
@@ -23,10 +26,13 @@ from stabeq import (
     iterate_quadratic,
     make_test_function,
     parity_split,
+    run_experiment,
     take_limit,
     to_json,
 )
-from stabeq.approximants import default_probes
+from stabeq import approximants
+from stabeq.approximants import _iterate_values, default_probes
+from stabeq.harness import decompose
 
 SPACE1 = PNormSpace(1, 1.0)
 K2 = EquationParams(2)
@@ -306,8 +312,10 @@ def test_decompose_full_evaluates_nothing_until_a_component_is_called():
         seen.append(xs.copy())
         return poly(xs)
 
-    dec = decompose_full(FunctionHandle(recording, SPACE1), K2)
-    assert seen and all(np.all(xs == 0.0) for xs in seen)
+    f = FunctionHandle(recording, SPACE1)
+    seen.clear()  # the handle's own evaluation at 0
+    dec = decompose_full(f, K2)
+    assert not seen
     assert all(d.n_used == 0 for d in dec.diagnostics.values())
     dec.Q(np.array([1.5]))
     assert np.any(np.concatenate(seen) != 0.0)
@@ -347,3 +355,190 @@ def test_decompose_full_recovers_random_polynomials(a3, a2, a1):
     assert np.max(np.abs(A[:, 0] - a1 * xs)) < 1e-8 * scale
     assert np.max(np.abs(Q[:, 0] - a2 * xs**2)) < 1e-8 * scale
     assert np.max(np.abs(C[:, 0] - a3 * xs**3)) < 1e-8 * scale
+
+
+# --- the shared odd ladder ------------------------------------------------
+
+
+def take_limit_reference(spec, f, xs):
+    """take_limit's stopping rule with every level evaluated afresh, one spec."""
+    space = f.space
+    prev, _ = _iterate_values(spec, f, xs, 0)
+    result = prev.copy()
+    n_used = np.zeros(xs.size, dtype=int)
+    last_step = np.zeros(xs.size)
+    converged = np.zeros(xs.size, dtype=bool)
+    armed = np.zeros(xs.size, dtype=bool)
+    prev_step = np.full(xs.size, np.inf)
+    active = np.arange(xs.size)
+    eps = np.finfo(float).eps
+    for n in range(1, spec.cap + 1):
+        cur, mag = _iterate_values(spec, f, xs[active], n)
+        with np.errstate(invalid="ignore"):
+            step = space.pnorm(cur - prev[active])
+        finite = np.isfinite(cur).all(axis=-1)
+        tol_eff = spec.tol * (1.0 + space.pnorm(np.where(finite[:, None], cur, 0.0)))
+        floor = 4.0 * eps * space.pnorm(np.where(finite[:, None], mag, 0.0))
+        small = finite & (step <= np.maximum(tol_eff, floor))
+        ok = small & ((armed[active] & (step <= prev_step[active])) | (step <= floor))
+        result[active[finite]] = cur[finite]
+        n_used[active] = n
+        last_step[active[finite]] = step[finite]
+        last_step[active[~finite]] = np.inf
+        converged[active[ok]] = True
+        armed[active] = small
+        prev_step[active] = step
+        keep = ~(ok | ~finite)
+        active = active[keep]
+        if active.size == 0:
+            break
+        prev[active] = cur[keep]
+    diag = ConvergenceDiagnostics(
+        int(n_used.max(initial=0)), float(last_step.max(initial=0.0)), bool(converged.all())
+    )
+    return result, diag
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def odd_part(**fields):
+    return parity_split(make_test_function(ExperimentConfig(**fields)))[1]
+
+
+BOUNDED = NoiseSpec("bounded_smooth", 0.01, 3)
+POWER = NoiseSpec("power_scaled", 0.01, 3)
+GRID41 = np.linspace(-5, 5, 41)
+LADDER_CASES = {
+    "expand-dim1-p1": (odd_part(noise=BOUNDED), Direction.EXPAND, (48, 48), GRID41),
+    "contract-dim1-p1": (odd_part(noise=BOUNDED), Direction.CONTRACT, (48, 48), GRID41),
+    "expand-dim3-p0.5": (
+        odd_part(noise=BOUNDED, codomain_dim=3, p=0.5, poly=([1, 2, -1], 0.5, [1, -3, 2])),
+        Direction.EXPAND,
+        (48, 48),
+        GRID41,
+    ),
+    "contract-dim3-p0.5": (
+        odd_part(noise=POWER, codomain_dim=3, p=0.5, k=3, phi_form=PhiForm("sum", 4.0, 4.0)),
+        Direction.CONTRACT,
+        (48, 48),
+        GRID41,
+    ),
+    "expand-cap-5": (odd_part(noise=BOUNDED), Direction.EXPAND, (5, 5), GRID41),
+    "expand-caps-5-and-48": (
+        odd_part(noise=BOUNDED),
+        Direction.EXPAND,
+        (5, 48),
+        GRID41,
+    ),
+    "expand-overflow": (
+        FunctionHandle(lambda xs: np.sinh(xs)[:, None], SPACE1),
+        Direction.EXPAND,
+        (48, 48),
+        np.array([-2.0, 0.5, 3.0]),
+    ),
+    # Contracting x / 2^n rounds in the subnormals, where 2 (x / 2^n) is not
+    # x / 2^(n-1): a level's argument may be reused only where it is.
+    "contract-subnormal": (
+        odd_part(noise=POWER, k=3, p=0.5, phi_form=PhiForm("sum", 4.0, 4.0)),
+        Direction.CONTRACT,
+        (48, 48),
+        GridSpec(1e-310, 2e-310, 5).points(),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_CASES))
+def test_shared_ladder_equals_separate_and_fresh_limits_bitwise(case):
+    odd, direction, caps, xs = LADDER_CASES[case]
+    specs = [
+        IterationSpec(kind, direction, max_n=cap)
+        for kind, cap in zip((IterKind.ADDITIVE, IterKind.CUBIC), caps)
+    ]
+    joint = take_limit(tuple(specs), odd, xs)
+    for spec, (vals, diag) in zip(specs, joint):
+        alone, alone_diag = take_limit(spec, odd, xs)
+        fresh, fresh_diag = take_limit_reference(spec, odd, xs)
+        assert same_bits(vals, alone) and same_bits(vals, fresh)
+        assert diag == alone_diag == fresh_diag
+    diags = [diag for _, diag in joint]
+    if case.startswith("expand-cap"):
+        assert diags[0].n_used == 5 and not diags[0].converged
+    if case == "expand-overflow":
+        assert all(d.last_step == np.inf for d in diags)
+
+
+def test_shared_ladder_reads_each_argument_once_on_expand():
+    f = make_test_function(ExperimentConfig(noise=BOUNDED))
+    seen = []
+
+    def counted(xs):
+        seen.append(xs.size)
+        return f(xs)
+
+    _, odd = parity_split(FunctionHandle(counted, f.space))
+    xs = np.linspace(-5, 5, 21)
+    specs = tuple(
+        IterationSpec(kind, Direction.EXPAND) for kind in (IterKind.ADDITIVE, IterKind.CUBIC)
+    )
+    # n is the last level a point reaches in A or C, from one-point limits.
+    last = [max(take_limit(spec, odd, np.array([x]))[1].n_used for spec in specs) for x in xs]
+    assert len(set(last)) > 1
+    seen.clear()
+    take_limit(specs, odd, xs)
+    # Two odd-part values (four base evaluations) at level 0, one per level after.
+    assert sum(seen) == sum(2 * (n + 2) for n in last)
+
+
+def test_take_limit_shares_a_ladder_only_between_odd_kinds_of_one_direction():
+    odd = odd_part(noise=BOUNDED)
+    xs = np.array([1.0])
+    quad = IterationSpec(IterKind.QUADRATIC, Direction.EXPAND, params=K2)
+    add = IterationSpec(IterKind.ADDITIVE, Direction.EXPAND)
+    cub = IterationSpec(IterKind.CUBIC, Direction.CONTRACT)
+    for specs in ((quad, add), (add, cub), ()):
+        with pytest.raises(InvalidInputError):
+            take_limit(specs, odd, xs)
+
+
+@pytest.mark.parametrize(
+    "phi, calls",
+    [(PhiForm(), 2), (PhiForm("sum", 4.0, 4.0), 2), (PhiForm("sum", 2.0, 2.5), 3)],
+)
+def test_components_at_equals_the_three_component_calls(monkeypatch, phi, calls):
+    cfg = ExperimentConfig(noise=POWER, k=3, phi_form=phi, grid=GridSpec(-5, 5, 41))
+    f = make_test_function(cfg)
+    xs = cfg.grid.points()
+    alone = decompose(cfg, f)
+    expected = (alone.A(xs), alone.Q(xs), alone.C(xs))
+    seen = []
+    monkeypatch.setattr(
+        approximants, "take_limit", lambda *a: seen.append(a[0]) or take_limit(*a)
+    )
+    dec = decompose(cfg, f)
+    got = dec.components_at(xs)
+    assert len(seen) == calls  # A and C share one call unless their directions differ
+    assert all(same_bits(a, b) for a, b in zip(got, expected))
+    assert dec.diagnostics == alone.diagnostics
+
+
+def test_mixed_direction_report_keeps_separate_limits():
+    cfg = ExperimentConfig(
+        noise=BOUNDED, phi_form=PhiForm("sum", 2.0, 2.5), grid=GridSpec(-5, 5, 21)
+    )
+    report = run_experiment(cfg)
+    _, j_a, j_c = report.directions
+    assert j_a != j_c
+    _, odd = parity_split(make_test_function(cfg))
+    xs = cfg.grid.points()
+    for name, kind, j, scale in (
+        ("A", IterKind.ADDITIVE, j_a, -1.0 / 6.0),
+        ("C", IterKind.CUBIC, j_c, 1.0 / 6.0),
+    ):
+        spec = IterationSpec(kind, j, tol=cfg.tol, max_n=cfg.max_n)
+        vals, diag = take_limit_reference(spec, odd, xs)
+        cells = [getattr(row, name) for row in report.rows]
+        offset = scale * 0.0  # the limit's signed zero at x = 0
+        assert cells == [tuple(v) for v in (scale * vals - offset).tolist()]
+        assert report.diagnostics["additive" if name == "A" else "cubic"] == diag

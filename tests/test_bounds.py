@@ -219,6 +219,21 @@ def test_psi_vectorizes_over_x():
         assert vec[i] == pytest.approx(psi_tilde_bound("a", ctx, float(x)), rel=1e-14)
 
 
+@pytest.mark.parametrize("k, p", [(2, 1.0), (3, 0.5), (-2, 0.75)])
+@pytest.mark.parametrize("phi", [PowerBound("constant", 0.3), PowerBound("sum", 0.3, 4.0, 4.0)])
+def test_psi_of_a_point_does_not_depend_on_its_batch(k, p, phi):
+    ctx = ctx_for(k, p, phi)
+    xs = np.array([-2.5, -1.0, 0.0, 0.5, 1.0, 2.5, 2.5, 4.0])
+    for kind in "ace":
+        vec = psi_tilde_bound(kind, ctx, xs)
+        lone = [psi_tilde_bound(kind, ctx, float(x)) for x in xs]
+        assert vec.tolist() == lone
+        assert psi_tilde_bound(kind, ctx, -xs).tolist() == lone
+        assert psi_tilde_numeric(kind, ctx, xs, 100).tolist() == [
+            psi_tilde_numeric(kind, ctx, float(x), 100) for x in xs
+        ]
+
+
 def test_psi_zero_theta_and_vanishing_quadratic():
     ctx = ctx_for(2, 1.0, PowerBound("constant", 0.0))
     assert psi_tilde_bound("a", ctx, 2.0) == 0.0
