@@ -13,15 +13,16 @@ i = (1+j)/2, and nine inner terms whose coefficients and argument pairs are
 fixed by the equation.  Each recovered component then satisfies an explicit
 bound built from M = 2^(1/p-1) and psi^(1/p).
 
-For power controls every series is geometric, and the closed forms here
-(delta/alpha/beta/epsilon/gamma constants) evaluate the same quantities
-without summation.  Both routes are kept; tests confirm they agree, which is
-the point of having them both.
+For power controls every series is geometric, and the paper's closed forms
+evaluate the same quantities without summation.  They are one constant at
+control exponents (r, s): epsilon for theta |x|^r |y|^s, and delta, alpha
+and beta are epsilon with the missing exponents set to 0.  The closed forms
+are written out apart from the series code, so tests comparing the two
+routes check one against the other.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -88,36 +89,25 @@ class PowerBound:
         if self.form == "constant":
             return np.broadcast_to(float(self.theta), np.broadcast_shapes(ax.shape, ay.shape)).copy()
         if self.form == "sum":
-            acc = 0.0
-            if self.r > 0:
-                acc = acc + ax**self.r
-            if self.s > 0:
-                acc = acc + ay**self.s
+            acc = sum(ax**r if r else ay**s for r, s in self.terms())
             return self.theta * np.broadcast_to(acc, np.broadcast_shapes(ax.shape, ay.shape)).copy()
         return self.theta * ax**self.r * ay**self.s
 
+    def terms(self) -> tuple[tuple[float, float], ...]:
+        """Live power terms (r_t, s_t): phi = theta sum_t |x|^r_t |y|^s_t."""
+        if self.form == "constant":
+            return ((0.0, 0.0),)
+        if self.form == "product":
+            return ((self.r, self.s),)
+        return tuple(t for t in ((self.r, 0.0), (0.0, self.s)) if t[0] + t[1] > 0)
+
     def exponents(self) -> tuple[float, ...]:
         """Live homogeneity degrees of phi along rays (x, y) -> (tx, ty)."""
-        if self.form == "constant":
-            return (0.0,)
-        if self.form == "product":
-            return (self.r + self.s,)
-        out = []
-        if self.r > 0:
-            out.append(self.r)
-        if self.s > 0:
-            out.append(self.s)
-        return tuple(out)
+        return tuple(r + s for r, s in self.terms())
 
     def y_slot_exponent(self) -> float | None:
         """Degree of phi(0, u) in |u|, or None when phi(0, u) is identically 0."""
-        if self.form == "constant":
-            return 0.0
-        if self.form == "product":
-            return None
-        if self.s > 0:
-            return self.s
-        return None  # sum with only an x-term vanishes on the y-axis
+        return next((s for r, s in self.terms() if r == 0), None)
 
 
 def select_direction(exponent: float, critical: float) -> Direction:
@@ -130,27 +120,45 @@ def select_direction(exponent: float, critical: float) -> Direction:
     return Direction.CONTRACT if exponent > critical else Direction.EXPAND
 
 
-def _select_quadratic(phi: PowerBound) -> Direction:
-    e_y = phi.y_slot_exponent()
-    return Direction.EXPAND if e_y is None else select_direction(e_y, CRITICAL_QUADRATIC)
+class SeriesKind(Enum):
+    """The three comparison series, in the slot order of a directions triple."""
+
+    QUADRATIC = "e"
+    ADDITIVE = "a"
+    CUBIC = "c"
 
 
-def _select_for(phi: PowerBound, critical: float) -> Direction:
-    dirs = {select_direction(e, critical) for e in phi.exponents()}
+_CRITICAL = {
+    SeriesKind.QUADRATIC: CRITICAL_QUADRATIC,
+    SeriesKind.ADDITIVE: CRITICAL_ADDITIVE,
+    SeriesKind.CUBIC: CRITICAL_CUBIC,
+}
+
+
+def _series_exponents(kind: SeriesKind, phi: PowerBound) -> tuple[float, ...]:
+    """Degrees in |x| that the terms of the series grow with; () if it vanishes.
+
+    psi_e reads phi on the y-axis only, so its one degree is the y-slot
+    exponent; psi_a and psi_c read phi off the axes, so every live exponent
+    counts.
+    """
+    if kind is SeriesKind.QUADRATIC:
+        e_y = phi.y_slot_exponent()
+        return () if e_y is None else (e_y,)
+    return phi.exponents()
+
+
+def _select(kind: SeriesKind, phi: PowerBound) -> Direction:
+    exps = _series_exponents(kind, phi)
+    if not exps:
+        return Direction.EXPAND
+    dirs = {select_direction(e, _CRITICAL[kind]) for e in exps}
     if len(dirs) != 1:
         raise CriticalExponentError(
-            f"control exponents {phi.exponents()} straddle the critical value "
-            f"{critical}; no single direction makes the series converge"
+            f"control exponents {exps} straddle the critical value "
+            f"{_CRITICAL[kind]}; no single direction makes the series converge"
         )
     return dirs.pop()
-
-
-# One selector per slot of (j_quadratic, j_additive, j_cubic).
-_SLOT_SELECTORS = (
-    _select_quadratic,
-    functools.partial(_select_for, critical=CRITICAL_ADDITIVE),
-    functools.partial(_select_for, critical=CRITICAL_CUBIC),
-)
 
 
 def select_directions(phi: PowerBound) -> tuple[Direction, Direction, Direction]:
@@ -160,7 +168,7 @@ def select_directions(phi: PowerBound) -> tuple[Direction, Direction, Direction]
     either direction; EXPAND is reported for definiteness.  Raises
     CriticalExponentError if any component lacks a convergent direction.
     """
-    return tuple(select(phi) for select in _SLOT_SELECTORS)
+    return tuple(_select(kind, phi) for kind in SeriesKind)
 
 
 def _maybe_directions(phi: PowerBound) -> tuple[Direction | None, ...]:
@@ -171,9 +179,9 @@ def _maybe_directions(phi: PowerBound) -> tuple[Direction | None, ...]:
     using a None slot raises at evaluation time.
     """
     out = []
-    for select in _SLOT_SELECTORS:
+    for kind in SeriesKind:
         try:
-            out.append(select(phi))
+            out.append(_select(kind, phi))
         except CriticalExponentError:
             out.append(None)
     return tuple(out)
@@ -181,7 +189,7 @@ def _maybe_directions(phi: PowerBound) -> tuple[Direction | None, ...]:
 
 def quadratic_series_vanishes(phi: PowerBound) -> bool:
     """True when phi(0, y) == 0, making the quadratic bound trivially zero."""
-    return phi.y_slot_exponent() is None
+    return not _series_exponents(SeriesKind.QUADRATIC, phi)
 
 
 @dataclass(frozen=True)
@@ -210,12 +218,6 @@ class BoundContext:
         return quadratic_series_vanishes(self.phi)
 
 
-class SeriesKind(Enum):
-    QUADRATIC = "e"
-    ADDITIVE = "a"
-    CUBIC = "c"
-
-
 def _as_series_kind(kind) -> SeriesKind:
     if isinstance(kind, SeriesKind):
         return kind
@@ -225,43 +227,26 @@ def _as_series_kind(kind) -> SeriesKind:
         raise InvalidInputError(f"unknown series kind {kind!r}") from None
 
 
-def _nine_terms(k: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients c_m (already p-th powered) and argument pairs (a_m, b_m)."""
+def _nine_terms(k: int, p: float) -> list[tuple[float, float, float]]:
+    """Inner terms (c_m, a_m, b_m): coefficient (already p-th powered), argument pair."""
     k2 = float(k * k)
-    coeffs = np.array(
-        [
-            abs(5.0 - 4.0 * k2) ** p,
-            k2**p,
-            (2.0 * k2) ** p,
-            1.0,
-            abs(4.0 - 2.0 * k2) ** p,
-            2.0**p,
-            2.0**p,
-            1.0,
-            1.0,
-        ]
-    )
-    args = np.array(
-        [
-            (1.0, 1.0),
-            (2.0, 2.0),
-            (2.0, 1.0),
-            (1.0, 3.0),
-            (1.0, 2.0),
-            (1.0 + k, 1.0),
-            (1.0 - k, 1.0),
-            (1.0 + 2.0 * k, 1.0),
-            (1.0 - 2.0 * k, 1.0),
-        ]
-    )
-    return coeffs, args
+    return [
+        (abs(5.0 - 4.0 * k2) ** p, 1.0, 1.0),
+        (k2**p, 2.0, 2.0),
+        ((2.0 * k2) ** p, 2.0, 1.0),
+        (1.0, 1.0, 3.0),
+        (abs(4.0 - 2.0 * k2) ** p, 1.0, 2.0),
+        (2.0**p, 1.0 + k, 1.0),
+        (2.0**p, 1.0 - k, 1.0),
+        (1.0, 1.0 + 2.0 * k, 1.0),
+        (1.0, 1.0 - 2.0 * k, 1.0),
+    ]
 
 
 def _series_geometry(kind: SeriesKind, ctx: BoundContext) -> tuple[float, float, int]:
     """(weight w, argument scale per step, start index) of the series."""
     p = ctx.space.p
-    slot = {"e": 0, "a": 1, "c": 2}[kind.value]
-    direction = ctx.directions[slot]
+    direction = ctx.directions[list(SeriesKind).index(kind)]
     if direction is None:
         raise CriticalExponentError(
             f"series {kind.value!r} has no convergent direction for this control; "
@@ -286,29 +271,12 @@ def series_step_ratio(kind, ctx: BoundContext) -> float:
     vanishing on the y-axis, or theta = 0).
     """
     kind = _as_series_kind(kind)
-    if ctx.phi.theta == 0.0:
+    exps = _series_exponents(kind, ctx.phi)
+    if ctx.phi.theta == 0.0 or not exps:
         return 0.0
-    if kind is SeriesKind.QUADRATIC:
-        e_y = ctx.phi.y_slot_exponent()
-        if e_y is None:
-            return 0.0
-        exps = (e_y,)
-    else:
-        exps = ctx.phi.exponents()
     w, arg_scale, _ = _series_geometry(kind, ctx)
     p = ctx.space.p
     return float(max(w * arg_scale ** (e * p) for e in exps))
-
-
-def _check_convergent(kind: SeriesKind, ctx: BoundContext) -> float:
-    rho = series_step_ratio(kind, ctx)
-    if rho >= 1.0:
-        raise DivergentSeriesError(
-            f"series {kind.value!r} has step ratio {rho:.6g} >= 1 for control "
-            f"{ctx.phi.form!r} (r={ctx.phi.r}, s={ctx.phi.s}); "
-            "no convergent bound in this direction"
-        )
-    return rho
 
 
 def _inner_sum(ctx: BoundContext, xi: np.ndarray) -> np.ndarray:
@@ -317,9 +285,8 @@ def _inner_sum(ctx: BoundContext, xi: np.ndarray) -> np.ndarray:
     k = ctx.params.k
     k2 = float(k * k)
     pref = (k2 * abs(1.0 - k2)) ** (-p)
-    coeffs, args = _nine_terms(k, p)
     acc = np.zeros_like(xi, dtype=float)
-    for (a_m, b_m), c_m in zip(args, coeffs):
+    for c_m, a_m, b_m in _nine_terms(k, p):
         acc += c_m * ctx.phi.value(a_m * xi, b_m * xi) ** p
     return pref * acc
 
@@ -364,11 +331,14 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
     )
     flat = np.array(list(first_seen), dtype=float)
     total = np.zeros_like(flat)
-    vanishes = ctx.phi.theta == 0.0 or (
-        kind is SeriesKind.QUADRATIC and quadratic_series_vanishes(ctx.phi)
-    )
-    if not vanishes:
-        rho = _check_convergent(kind, ctx)
+    if ctx.phi.theta != 0.0 and _series_exponents(kind, ctx.phi):
+        rho = series_step_ratio(kind, ctx)
+        if rho >= 1.0:
+            raise DivergentSeriesError(
+                f"series {kind.value!r} has step ratio {rho:.6g} >= 1 for control "
+                f"{ctx.phi.form!r} (r={ctx.phi.r}, s={ctx.phi.s}); "
+                "no convergent bound in this direction"
+            )
         _, _, start = _series_geometry(kind, ctx)
         stop = start + (_TERM_CAP if n_terms is None else n_terms)
         last = np.zeros_like(flat)
@@ -488,108 +458,86 @@ CONSTANT_NAMES = (
 )
 
 
-def _require_noncritical(value: float, critical: float, what: str) -> None:
-    if value == critical:
-        raise CriticalExponentError(
-            f"{what} = {value} is critical; the closed form has a vanishing denominator"
-        )
+# Which closed constant a power term |x|^r |y|^s reads, by its live exponents.
+_FAMILY = {
+    (False, False): "delta",
+    (True, False): "alpha",
+    (False, True): "beta",
+    (True, True): "epsilon",
+}
+
+
+def _closed_constant(ctx: BoundContext, kind: SeriesKind, r: float, s: float) -> float:
+    """The paper's closed constant at control exponents (r, s), written out.
+
+      ((|5-4k^2|^p + 2^(sp) |4-2k^2|^p + |1+2k|^(rp) + |1-2k|^(rp)
+        + 2^p |1+k|^(rp) + 2^p |1-k|^(rp) + k^(2p) (2^((r+s)p) + 2^((r+1)p))
+        + 3^(sp)) / |b^p - 2^((r+s)p)|)^(1/p)
+
+    with b = 2 for the additive series and b = 8 for the cubic one.  It reads
+    no series code, so comparing it with the summed series checks both.
+    """
+    p = ctx.space.p
+    k = ctx.params.k
+    k2 = float(k * k)
+    lam = r + s
+    # Raises at the critical exponent, where the denominator vanishes.
+    select_direction(lam, _CRITICAL[kind])
+    two_p = 2.0**p
+    num = (
+        abs(5.0 - 4.0 * k2) ** p
+        + 2.0 ** (s * p) * abs(4.0 - 2.0 * k2) ** p
+        + abs(1.0 + 2.0 * k) ** (r * p)
+        + abs(1.0 - 2.0 * k) ** (r * p)
+        + two_p * abs(1.0 + k) ** (r * p)
+        + two_p * abs(1.0 - k) ** (r * p)
+        + k2**p * (2.0 ** (lam * p) + 2.0 ** ((r + 1.0) * p))
+        + 3.0 ** (s * p)
+    )
+    base = 2.0 if kind is SeriesKind.ADDITIVE else 8.0
+    return (num / abs(base**p - 2.0 ** (lam * p))) ** (1.0 / p)
+
+
+def _odd_constant(ctx: BoundContext, kind: SeriesKind, terms, x_norm: float) -> float:
+    """(sum_t C(r_t, s_t)^p x_norm^((r_t + s_t) p))^(1/p) over power terms (r_t, s_t)."""
+    p = ctx.space.p
+    return sum(
+        _closed_constant(ctx, kind, r, s) ** p * x_norm ** ((r + s) * p) for r, s in terms
+    ) ** (1.0 / p)
 
 
 def corollary_constant(name: str, ctx: BoundContext, x_norm: float = 1.0) -> float:
     """Closed-form constant of the power-control bounds.
 
-    delta_*   : constant control (r = s = 0)
-    alpha_*   : control theta |x|^r        (denominator |b^p - 2^(rp)|)
-    beta_*    : control theta |y|^s        (denominator |b^p - 2^(sp)|)
     epsilon_* : control theta |x|^r |y|^s  (denominator |b^p - 2^((r+s)p)|)
+    delta_*   : constant control, epsilon at r = s = 0
+    alpha_*   : control theta |x|^r, epsilon at s = 0
+    beta_*    : control theta |y|^s, epsilon at r = 0
     gamma_*   : (alpha^p ||x||^(rp) + beta^p ||x||^(sp))^(1/p), x-dependent
     quadratic_factor : (||x||^(sp) / |k^(2p) - |k|^(sp)|)^(1/p)
 
-    with b = 2 for the additive flavor and b = 8 for the cubic one.  The
-    suffix picks the denominator; the bracket numerators come from the nine
-    inner series terms.  x_norm only matters for the gamma_* and
-    quadratic_factor entries.
+    with b = 2 for the additive flavor and b = 8 for the cubic one; r and s
+    are the context control's exponents.  x_norm only matters for the
+    gamma_* and quadratic_factor entries.
     """
     if name not in CONSTANT_NAMES:
         raise InvalidInputError(f"unknown constant name {name!r}")
     if x_norm < 0:
         raise InvalidInputError(f"x_norm must be >= 0, got {x_norm!r}")
     p = ctx.space.p
-    k = ctx.params.k
-    k2 = float(k * k)
     r, s = ctx.phi.r, ctx.phi.s
-    lam = r + s
-    t1 = abs(5.0 - 4.0 * k2) ** p
-    t2 = abs(4.0 - 2.0 * k2) ** p
-    kp = k2**p
-    two_p = 2.0**p
-
-    def root(num: float, den: float) -> float:
-        return (num / den) ** (1.0 / p)
-
-    if name == "delta_additive":
-        num = t1 + t2 + kp * (two_p + 1.0) + 2.0 * two_p + 3.0
-        return root(num, two_p - 1.0)
-    if name == "delta_cubic":
-        num = t1 + t2 + kp * (two_p + 1.0) + 2.0 * two_p + 3.0
-        return root(num, 8.0**p - 1.0)
-
-    if name in ("alpha_additive", "alpha_cubic"):
-        crit = CRITICAL_ADDITIVE if name == "alpha_additive" else CRITICAL_CUBIC
-        _require_noncritical(r, crit, "r")
-        num = (
-            t1
-            + t2
-            + abs(1.0 + 2.0 * k) ** (r * p)
-            + abs(1.0 - 2.0 * k) ** (r * p)
-            + two_p * abs(1.0 + k) ** (r * p)
-            + two_p * abs(1.0 - k) ** (r * p)
-            + 2.0 ** (r * p) * kp * (two_p + 1.0)
-            + 1.0
-        )
-        base = two_p if name == "alpha_additive" else 8.0**p
-        return root(num, abs(base - 2.0 ** (r * p)))
-
-    if name in ("beta_additive", "beta_cubic"):
-        crit = CRITICAL_ADDITIVE if name == "beta_additive" else CRITICAL_CUBIC
-        _require_noncritical(s, crit, "s")
-        num = (
-            t1
-            + 2.0 ** (s * p) * t2
-            + kp * (2.0 ** (s * p) + two_p)
-            + 3.0 ** (s * p)
-            + 2.0 * two_p
-            + 2.0
-        )
-        base = two_p if name == "beta_additive" else 8.0**p
-        return root(num, abs(base - 2.0 ** (s * p)))
-
-    if name in ("epsilon_additive", "epsilon_cubic"):
-        crit = CRITICAL_ADDITIVE if name == "epsilon_additive" else CRITICAL_CUBIC
-        _require_noncritical(lam, crit, "r + s")
-        num = (
-            t1
-            + 2.0 ** (s * p) * t2
-            + abs(1.0 + 2.0 * k) ** (r * p)
-            + abs(1.0 - 2.0 * k) ** (r * p)
-            + two_p * abs(1.0 + k) ** (r * p)
-            + two_p * abs(1.0 - k) ** (r * p)
-            + kp * (2.0 ** (lam * p) + 2.0 ** ((r + 1.0) * p))
-            + 3.0 ** (s * p)
-        )
-        base = two_p if name == "epsilon_additive" else 8.0**p
-        return root(num, abs(base - 2.0 ** (lam * p)))
-
-    if name in ("gamma_additive", "gamma_cubic"):
-        flavor = "additive" if name == "gamma_additive" else "cubic"
-        al = corollary_constant(f"alpha_{flavor}", ctx, x_norm)
-        be = corollary_constant(f"beta_{flavor}", ctx, x_norm)
-        return (al**p * x_norm ** (r * p) + be**p * x_norm ** (s * p)) ** (1.0 / p)
-
-    # quadratic_factor
-    _require_noncritical(s, CRITICAL_QUADRATIC, "s")
-    den = abs(k2**p - abs(float(k)) ** (s * p))
-    return (x_norm ** (s * p) / den) ** (1.0 / p)
+    if name == "quadratic_factor":
+        k = ctx.params.k
+        select_direction(s, CRITICAL_QUADRATIC)  # raises where the denominator vanishes
+        den = abs(float(k * k) ** p - abs(float(k)) ** (s * p))
+        return (x_norm ** (s * p) / den) ** (1.0 / p)
+    family, flavor = name.split("_")
+    kind = SeriesKind.ADDITIVE if flavor == "additive" else SeriesKind.CUBIC
+    if family == "gamma":
+        return _odd_constant(ctx, kind, ((r, 0.0), (0.0, s)), x_norm)
+    r_t = r if family in ("alpha", "epsilon") else 0.0
+    s_t = s if family in ("beta", "epsilon") else 0.0
+    return _closed_constant(ctx, kind, r_t, s_t)
 
 
 def full_bound_power(ctx: BoundContext, x_norm: float) -> float:
@@ -597,9 +545,10 @@ def full_bound_power(ctx: BoundContext, x_norm: float) -> float:
 
     Composes the closed constants exactly the way stability_bound(FULL)
     composes the series: an odd-part block with prefactor
-    M^8 theta / (6 k^2 |1-k^2|) and, when phi has a live y-term, a quadratic
-    block (M^3 theta / 2) * quadratic_factor.  Sum controls use gamma (or the
-    single alpha/beta when one exponent is zero), product controls epsilon.
+    M^8 theta / (6 k^2 |1-k^2|) over the control's live power terms (gamma
+    for a sum of two, alpha or beta for a single power, epsilon for a
+    product) and, when phi has a live y-term, a quadratic block
+    (M^3 theta / 2) * quadratic_factor.
     """
     if x_norm < 0:
         raise InvalidInputError(f"x_norm must be >= 0, got {x_norm!r}")
@@ -608,37 +557,14 @@ def full_bound_power(ctx: BoundContext, x_norm: float) -> float:
         raise InvalidInputError("closed full bound needs a sum or product control")
     select_directions(phi)  # validates bands / critical exponents
     M = ctx.space.modulus
-    theta = phi.theta
     k2 = float(ctx.params.k * ctx.params.k)
-    pref_odd = M**8 * theta / (6.0 * k2 * abs(1.0 - k2))
-    quad_pref = M**3 * theta / 2.0
-
-    if phi.form == "product":
-        odd = pref_odd * (
-            corollary_constant("epsilon_additive", ctx, x_norm)
-            + corollary_constant("epsilon_cubic", ctx, x_norm)
-        ) * x_norm ** (phi.r + phi.s)
-        return float(odd)
-
-    if phi.r > 0 and phi.s > 0:
-        odd = pref_odd * (
-            corollary_constant("gamma_additive", ctx, x_norm)
-            + corollary_constant("gamma_cubic", ctx, x_norm)
-        )
-        quad = quad_pref * corollary_constant("quadratic_factor", ctx, x_norm)
-        return float(odd + quad)
-    if phi.r > 0:  # x-power only: the quadratic series vanishes
-        odd = pref_odd * (
-            corollary_constant("alpha_additive", ctx, x_norm)
-            + corollary_constant("alpha_cubic", ctx, x_norm)
-        ) * x_norm**phi.r
-        return float(odd)
-    odd = pref_odd * (
-        corollary_constant("beta_additive", ctx, x_norm)
-        + corollary_constant("beta_cubic", ctx, x_norm)
-    ) * x_norm**phi.s
-    quad = quad_pref * corollary_constant("quadratic_factor", ctx, x_norm)
-    return float(odd + quad)
+    out = M**8 * phi.theta / (6.0 * k2 * abs(1.0 - k2)) * sum(
+        _odd_constant(ctx, kind, phi.terms(), x_norm)
+        for kind in (SeriesKind.ADDITIVE, SeriesKind.CUBIC)
+    )
+    if not quadratic_series_vanishes(phi):
+        out += M**3 * phi.theta / 2.0 * corollary_constant("quadratic_factor", ctx, x_norm)
+    return float(out)
 
 
 def bound_table(ctx: BoundContext, xs) -> dict:
@@ -646,21 +572,19 @@ def bound_table(ctx: BoundContext, xs) -> dict:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     per_x = stability_bound(BoundKind.FULL, ctx, xs)
     phi = ctx.phi
+    names = [
+        f"{_FAMILY[r > 0, s > 0]}_{flavor}"
+        for r, s in phi.terms()
+        for flavor in ("additive", "cubic")
+    ]
+    if not quadratic_series_vanishes(phi):
+        names.append("quadratic_factor")
     constants: dict[str, float] = {}
-    if phi.form == "constant":
-        names = ["delta_additive", "delta_cubic", "quadratic_factor"]
-    elif phi.form == "product":
-        names = ["epsilon_additive", "epsilon_cubic"]
-    else:
-        names = []
-        if phi.r > 0:
-            names += ["alpha_additive", "alpha_cubic"]
-        if phi.s > 0:
-            names += ["beta_additive", "beta_cubic", "quadratic_factor"]
     for name in names:
         try:
             constants[name] = corollary_constant(name, ctx, 1.0)
         except CriticalExponentError:
+            # Only theta = 0 gets here: its zero series read no directions.
             constants[name] = float("nan")
     return {
         "kind": "full",

@@ -338,7 +338,8 @@ def verify_solution(
     grid is an array of pairs or a GridSpec's square, read by pair_blocks
     one block at a time.  scale is the largest per-pair rounding scale
     operator_residual reports, 1 + sum_m |c_m| pnorm(f-evaluation m), so
-    tol is relative to the magnitudes actually summed.
+    tol is relative to the magnitudes actually summed.  A map that overflows
+    float64 on the grid gets a NaN or infinite max_residual, which fails.
     """
     blocks = pair_blocks(grid)
     if tol < 0:
@@ -346,8 +347,9 @@ def verify_solution(
     kind = EquationKind.general_mixed(params)
     max_residual, argmax_point, scale = -np.inf, None, -np.inf
     for X, Y in blocks:
-        resid, scales = operator_residual(f, kind, X, Y)
-        norms = f.space.pnorm(resid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid, scales = operator_residual(f, kind, X, Y)
+            norms = f.space.pnorm(resid)
         i = int(np.argmax(norms))
         # np.argmax over [best so far, this block's best] takes the later
         # block only where the whole-grid np.argmax would: strictly greater,

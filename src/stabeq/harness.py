@@ -251,14 +251,28 @@ def calibrate_theta(
     residual at rounding-dust level (<= 1e-12 of the local evaluation scale);
     a genuine residual there raises UnboundablePerturbationError, since no
     amplitude makes the control cover it.  The result certifies domination on
-    the grid only, not off it.
+    the grid only, not off it.  A residual that is not finite in float64 (the
+    test map overflows on a huge grid) raises InvalidInputError naming the
+    first such pair.
     """
     kind = EquationKind.general_mixed(params)
     unit = phi_form.instantiate(1.0)
     ratio = 0.0
     for X, Y in pair_blocks(grid):
-        resid, local_scale = operator_residual(f, kind, X, Y)
-        rnorm = f.space.pnorm(resid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid, local_scale = operator_residual(f, kind, X, Y)
+            rnorm = f.space.pnorm(resid)
+        if not np.all(np.isfinite(rnorm)):
+            i = int(np.argmin(np.isfinite(rnorm)))
+            where = (
+                f"grid {grid.lo:g}:{grid.hi:g}:{grid.count}"
+                if isinstance(grid, GridSpec)
+                else "the given pairs"
+            )
+            raise InvalidInputError(
+                f"residual is {rnorm[i]} at (x, y) = ({X[i]:.6g}, {Y[i]:.6g}) on "
+                f"{where}; no finite theta covers it"
+            )
         phi_unit = unit.value(X, Y)
         dust = rnorm <= _ZERO_RESIDUAL_REL * local_scale
         uncovered = (phi_unit == 0.0) & ~dust

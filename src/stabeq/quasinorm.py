@@ -60,10 +60,8 @@ class PNormSpace:
 
 
 def modulus_of_concavity(p: float) -> float:
-    """2^(1/p - 1) for 0 < p <= 1."""
-    if not (0.0 < p <= 1.0):
-        raise InvalidInputError(f"p must satisfy 0 < p <= 1, got {p!r}")
-    return 2.0 ** (1.0 / p - 1.0)
+    """2^(1/p - 1) for 0 < p <= 1: the modulus of any l_p space."""
+    return PNormSpace(1, p).modulus
 
 
 def power_sum_residual(xs: np.ndarray, p: float) -> float:

@@ -4,6 +4,8 @@ The reference series here are summed by explicit Python loops from a frozen
 nine-term table, independent of the vectorized implementation under test.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -394,6 +396,77 @@ def test_quadratic_factor_matches_series(k, s):
     )
 
 
+def reference_constant(name, k, p, r, s):
+    """delta/alpha/beta/epsilon as four numerators, each written out for its
+    control family, the reference for the one constant at (r, s)."""
+    family, flavor = name.split("_")
+    crit = 1.0 if flavor == "additive" else 3.0
+    base = 2.0**p if flavor == "additive" else 8.0**p
+    k2 = float(k * k)
+    t1, t2 = abs(5.0 - 4.0 * k2) ** p, abs(4.0 - 2.0 * k2) ** p
+    kp, two_p = k2**p, 2.0**p
+    lam = {"delta": 0.0, "alpha": r, "beta": s, "epsilon": r + s}[family]
+    if lam == crit:
+        raise CriticalExponentError(name)
+    if family == "delta":
+        num = t1 + t2 + kp * (two_p + 1.0) + 2.0 * two_p + 3.0
+    elif family == "alpha":
+        num = (
+            t1
+            + t2
+            + abs(1.0 + 2.0 * k) ** (r * p)
+            + abs(1.0 - 2.0 * k) ** (r * p)
+            + two_p * abs(1.0 + k) ** (r * p)
+            + two_p * abs(1.0 - k) ** (r * p)
+            + 2.0 ** (r * p) * kp * (two_p + 1.0)
+            + 1.0
+        )
+    elif family == "beta":
+        num = (
+            t1
+            + 2.0 ** (s * p) * t2
+            + kp * (2.0 ** (s * p) + two_p)
+            + 3.0 ** (s * p)
+            + 2.0 * two_p
+            + 2.0
+        )
+    else:
+        num = (
+            t1
+            + 2.0 ** (s * p) * t2
+            + abs(1.0 + 2.0 * k) ** (r * p)
+            + abs(1.0 - 2.0 * k) ** (r * p)
+            + two_p * abs(1.0 + k) ** (r * p)
+            + two_p * abs(1.0 - k) ** (r * p)
+            + kp * (2.0 ** (lam * p) + 2.0 ** ((r + 1.0) * p))
+            + 3.0 ** (s * p)
+        )
+    return (num / abs(base - 2.0 ** (lam * p))) ** (1.0 / p)
+
+
+RS_PAIRS = [(0.5, 0.5), (1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (4.0, 4.0), (0.25, 3.0), (3.0, 0.2)]
+
+
+@pytest.mark.parametrize("k", [2, -2, 3, 5, 10, -7])
+@pytest.mark.parametrize("p", [1.0, 0.75, 0.5, 0.3])
+def test_one_closed_constant_matches_the_four_family_numerators(k, p):
+    """delta, alpha and beta are epsilon at zero exponents: same values to
+    rel 1e-15 and the same critical exponents as the per-family forms."""
+    for r, s in RS_PAIRS:
+        ctx = ctx_for(k, p, PowerBound("product", 0.7, r, s))
+        for family in ("delta", "alpha", "beta", "epsilon"):
+            for flavor in ("additive", "cubic"):
+                name = f"{family}_{flavor}"
+                try:
+                    want = reference_constant(name, k, p, r, s)
+                except CriticalExponentError:
+                    with pytest.raises(CriticalExponentError):
+                        corollary_constant(name, ctx)
+                    continue
+                got = corollary_constant(name, ctx)
+                assert got == pytest.approx(want, rel=1e-15, abs=0.0), (name, r, s)
+
+
 def test_gamma_combines_alpha_and_beta():
     ctx = ctx_for(2, 1.0, PowerBound("sum", 0.7, 4.0, 4.0))
     for flavor in ("additive", "cubic"):
@@ -499,6 +572,53 @@ def test_bound_table_product_control():
     table = bound_table(ctx, [1.0])
     assert set(table["constants"]) == {"epsilon_additive", "epsilon_cubic"}
     assert table["j"][0] == -1  # vanishing quadratic series, direction by convention
+
+
+SWEEP_EXPONENTS = [0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0]
+SWEEP_CONTROLS = (
+    [PowerBound("constant", 1.0)]
+    + [PowerBound("sum", 1.0, r, s) for r in SWEEP_EXPONENTS for s in SWEEP_EXPONENTS if r + s > 0]
+    + [PowerBound("product", 1.0, r, s) for r in SWEEP_EXPONENTS[1:] for s in SWEEP_EXPONENTS[1:]]
+)
+
+
+def constant_is_critical(name, phi):
+    """The closed constant's exponent sits at its critical value."""
+    if name == "quadratic_factor":
+        return phi.s == 2.0
+    family, flavor = name.split("_")
+    lam = {"delta": 0.0, "alpha": phi.r, "beta": phi.s, "epsilon": phi.r + phi.s}[family]
+    return lam == (1.0 if flavor == "additive" else 3.0)
+
+
+@pytest.mark.parametrize("k", [2, -2, 3, 5])
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_bound_table_raises_or_is_strict_json(k, p):
+    """theta > 0: a listed constant is critical only when its series is too,
+    so the table raises exactly where select_directions does and otherwise
+    holds only finite numbers."""
+    for phi in SWEEP_CONTROLS:
+        ctx = ctx_for(k, p, phi)
+        try:
+            select_directions(phi)
+        except CriticalExponentError:
+            with pytest.raises(CriticalExponentError):
+                bound_table(ctx, [-2.0, 0.0, 0.5, 3.0])
+            continue
+        json.dumps(bound_table(ctx, [-2.0, 0.0, 0.5, 3.0]), allow_nan=False)
+
+
+@pytest.mark.parametrize("k", [2, -2, 3, 5])
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_bound_table_of_a_zero_control_marks_critical_constants_nan(k, p):
+    """theta = 0: the series are zero and read no directions, so the table
+    never raises; a constant at its critical exponent is written as NaN."""
+    for phi in SWEEP_CONTROLS:
+        ctx = ctx_for(k, p, PowerBound(phi.form, 0.0, phi.r, phi.s))
+        table = bound_table(ctx, [-2.0, 0.0, 0.5, 3.0])
+        assert [row["bound"] for row in table["per_x"]] == [0.0] * 4
+        for name, value in table["constants"].items():
+            assert np.isnan(value) == constant_is_critical(name, phi), (phi, name)
 
 
 def test_bound_table_straddling_control_raises():

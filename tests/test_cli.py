@@ -255,6 +255,22 @@ def test_bound_series_overflowing_at_its_first_term_exits_2(runner):
     assert "k = 2" in result.stderr
 
 
+def test_overflowing_grid_exits_2_naming_the_pair_without_warnings(runner):
+    result = invoke(runner, "experiment", "--grid=-1e300:1e300:7", "--format", "json")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "(-1e+300, -1e+300)" in lines[0] and "RuntimeWarning" not in result.stderr
+
+
+def test_check_on_an_overflowing_grid_fails_without_warnings(runner):
+    result = invoke(runner, "check", "--grid=-1e300:1e300:7")
+    assert result.exit_code == 1
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["pass"] is False
+
+
 def test_experiment_unboundable_perturbation_exits_1(runner):
     result = invoke(
         runner,

@@ -355,6 +355,19 @@ def test_calibrate_theta_names_the_first_uncovered_pair():
         assert str(exc.value) == want
 
 
+def test_calibrate_theta_names_the_first_non_finite_residual():
+    """The cubic overflows float64 on a +-1e300 grid: no numpy warning (the
+    suite makes RuntimeWarning an error), an InvalidInputError naming the
+    first non-finite pair and the grid."""
+    cfg = ExperimentConfig(grid=GridSpec(-1e300, 1e300, 7))
+    f = make_test_function(cfg)
+    for g, where in ((cfg.grid, "grid -1e+300:1e+300:7"), (cfg.grid.pairs(), "the given pairs")):
+        with pytest.raises(InvalidInputError) as exc:
+            calibrate_theta(f, EquationParams(2), cfg.phi_form, g)
+        assert "(x, y) = (-1e+300, -1e+300)" in str(exc.value)
+        assert where in str(exc.value)
+
+
 def calibration_peak_bytes(count):
     cfg = ExperimentConfig(
         codomain_dim=4,
