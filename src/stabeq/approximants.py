@@ -8,6 +8,10 @@ is recovered by a scaled iteration:
   cubic:     8^(nj) h(x / 2^(nj)),  h(x) = f(2x) - 2 f(x)  -> C0(x) =  6 C(x)
 
 with direction j = +1 (arguments contract) or j = -1 (arguments expand).
+Each is one row of IterKind: a component of degree d iterates with base b
+(k for the even part, 2 for the odd one), reads f at x / b^(nj), weighs by
+b^(dnj), and an odd component combines f(2x) - 2^(4-d) f(x), whose limit is
+(2^d - 2^(4-d)) times the component.
 Limits are taken with a Cauchy stopping rule floored at the rounding scale
 of the iterate, so an expanding iteration stops at the best accuracy float64
 supports instead of chasing cancellation noise; a non-finite iterate marks
@@ -45,9 +49,24 @@ class Direction(IntEnum):
 
 
 class IterKind(Enum):
-    QUADRATIC = "quadratic"
-    ADDITIVE = "additive"
-    CUBIC = "cubic"
+    """The three components, in the slot order of a directions triple.
+
+    label  : the component's name, its key in the diagnostics
+    letter : the letter of its comparison series (psi_e, psi_a, psi_c)
+    degree : d, the component's degree and its series' critical exponent
+    """
+
+    QUADRATIC = ("quadratic", "e", 2.0)
+    ADDITIVE = ("additive", "a", 1.0)
+    CUBIC = ("cubic", "c", 3.0)
+
+    def __init__(self, label: str, letter: str, degree: float):
+        self.label, self.letter, self.degree = label, letter, degree
+        self.odd = degree % 2 == 1  # iterated on the odd part of f
+
+    def base(self, params: EquationParams | None) -> int:
+        """The scaling base b: the equation's k for the even part, 2 for the odd one."""
+        return 2 if self.odd else params.k
 
 
 # Default iteration caps: base-2 iterations get 48 doublings, the base-k^2
@@ -78,7 +97,7 @@ class IterationSpec:
     max_n: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is IterKind.QUADRATIC and self.params is None:
+        if not self.kind.odd and self.params is None:
             raise InvalidInputError("quadratic iteration requires EquationParams")
         if self.tol < 0:
             raise InvalidInputError(f"tol must be nonnegative, got {self.tol!r}")
@@ -89,18 +108,13 @@ class IterationSpec:
     def cap(self) -> int:
         if self.max_n is not None:
             return self.max_n
-        if self.kind is IterKind.QUADRATIC:
-            return DEFAULT_MAX_N_QUADRATIC
-        return DEFAULT_MAX_N
+        return DEFAULT_MAX_N if self.kind.odd else DEFAULT_MAX_N_QUADRATIC
 
 
 def _arguments(spec: IterationSpec, X: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """The points the n-th iterate reads f at: X / k^(nj), or (2u, u) with u = X / 2^(nj)."""
-    j = int(spec.direction)
-    if spec.kind is IterKind.QUADRATIC:
-        return (X * float(spec.params.k) ** (-n * j),)
-    u = X * 2.0 ** (-n * j)
-    return 2.0 * u, u
+    """The points the n-th iterate reads f at: u = X / b^(nj), or (2u, u) for an odd kind."""
+    u = X * float(spec.kind.base(spec.params)) ** (-n * int(spec.direction))
+    return (2.0 * u, u) if spec.kind.odd else (u,)
 
 
 def _combine(spec: IterationSpec, n: int, evals) -> tuple[np.ndarray, np.ndarray]:
@@ -112,17 +126,14 @@ def _combine(spec: IterationSpec, n: int, evals) -> tuple[np.ndarray, np.ndarray
     combination; eps times its pnorm is the level below which Cauchy steps
     are float noise, not information about the limit.
     """
-    j = int(spec.direction)
-    if spec.kind is IterKind.QUADRATIC:
+    kind = spec.kind
+    scale = float(kind.base(spec.params)) ** (kind.degree * n * int(spec.direction))
+    if not kind.odd:
         ((v, m),) = evals
-        scale = float(spec.params.k) ** (2 * n * j)
         return scale * v, abs(scale) * m
     (v2, m2), (v1, m1) = evals
-    if spec.kind is IterKind.ADDITIVE:
-        scale = 2.0 ** (n * j)
-        return scale * (v2 - 8.0 * v1), abs(scale) * (m2 + 8.0 * m1)
-    scale = 8.0 ** (n * j)
-    return scale * (v2 - 2.0 * v1), abs(scale) * (m2 + 2.0 * m1)
+    c = 2.0 ** (4.0 - kind.degree)
+    return scale * (v2 - c * v1), abs(scale) * (m2 + c * m1)
 
 
 def _iterate_values(spec: IterationSpec, f: FunctionHandle, X: np.ndarray, n: int):
@@ -320,7 +331,7 @@ def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandl
     """
     specs = spec if isinstance(spec, tuple) else (spec,)
     if not specs or len(specs) > 1 and any(
-        s.kind is IterKind.QUADRATIC or s.direction != specs[0].direction for s in specs
+        not s.kind.odd or s.direction != specs[0].direction for s in specs
     ):
         raise InvalidInputError("a ladder takes one spec, or odd-kind specs of one direction")
     xs = np.asarray(x, dtype=float)
@@ -372,12 +383,19 @@ class LimitFunction(FunctionHandle):
         return self._scale * vals - self.offset
 
 
-def _odd_limits(
-    f: FunctionHandle, j_additive: Direction, j_cubic: Direction, tol: float, max_n: int
-) -> tuple[LimitFunction, LimitFunction]:
-    spec_a = IterationSpec(IterKind.ADDITIVE, j_additive, tol=tol, max_n=max_n)
-    spec_c = IterationSpec(IterKind.CUBIC, j_cubic, tol=tol, max_n=max_n)
-    return LimitFunction(spec_a, f, scale=-1.0 / 6.0), LimitFunction(spec_c, f, scale=1.0 / 6.0)
+def _component(
+    kind: IterKind, base: FunctionHandle, j: Direction, tol: float, max_n: int, params=None
+) -> LimitFunction:
+    """The kind's component, the scaled limit of its iteration on base.
+
+    An odd kind's limit is 2^d - 2^(4-d) times its component (-6 A, 6 C);
+    Q's iteration is capped at DEFAULT_MAX_N_QUADRATIC.
+    """
+    if kind.odd:
+        scale = 1.0 / (2.0**kind.degree - 2.0 ** (4.0 - kind.degree))
+        return LimitFunction(IterationSpec(kind, j, tol=tol, max_n=max_n), base, scale)
+    cap = min(max_n, DEFAULT_MAX_N_QUADRATIC)
+    return LimitFunction(IterationSpec(kind, j, params, tol, cap), base)
 
 
 def decompose_odd(
@@ -397,7 +415,10 @@ def decompose_odd(
     slack = 1e-9 * (1.0 + f.space.pnorm(vals))
     if np.any(f.space.pnorm(vals + f(-probes)) > slack):
         raise InvalidInputError("decompose_odd requires an odd map")
-    return _odd_limits(f, j_additive, j_cubic, tol, max_n)
+    return (
+        _component(IterKind.ADDITIVE, f, j_additive, tol, max_n),
+        _component(IterKind.CUBIC, f, j_cubic, tol, max_n),
+    )
 
 
 @dataclass
@@ -412,11 +433,7 @@ class DecompositionResult:
 
     @property
     def diagnostics(self) -> dict[str, ConvergenceDiagnostics]:
-        return {
-            "quadratic": self.Q.diagnostics,
-            "additive": self.A.diagnostics,
-            "cubic": self.C.diagnostics,
-        }
+        return {c.spec.kind.label: c.diagnostics for c in (self.Q, self.A, self.C)}
 
     def components_at(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A(x), Q(x) and C(x), bitwise as the three calls give them.
@@ -434,11 +451,7 @@ class DecompositionResult:
 def decompose_full(
     f: FunctionHandle,
     params: EquationParams,
-    directions: tuple[Direction, Direction, Direction] = (
-        Direction.EXPAND,
-        Direction.EXPAND,
-        Direction.EXPAND,
-    ),
+    directions: tuple[Direction, Direction, Direction] = (Direction.EXPAND,) * 3,
     tol: float = DEFAULT_TOL,
     max_n: int = DEFAULT_MAX_N,
 ) -> DecompositionResult:
@@ -450,20 +463,11 @@ def decompose_full(
     until a component is called, so each component's diagnostics cover
     exactly the points it was evaluated at.
     """
-    j_q, j_a, j_c = directions
     even, odd = parity_split(f)
-    spec_q = IterationSpec(
-        IterKind.QUADRATIC,
-        j_q,
-        params=params,
-        tol=tol,
-        max_n=min(max_n, DEFAULT_MAX_N_QUADRATIC),
+    Q, A, C = (
+        _component(kind, odd if kind.odd else even, j, tol, max_n, params)
+        for kind, j in zip(IterKind, directions, strict=True)
     )
-    A, C = _odd_limits(odd, j_a, j_c, tol, max_n)
     return DecompositionResult(
-        A=A,
-        Q=LimitFunction(spec_q, even),
-        C=C,
-        offsets=f.offset.copy(),
-        directions=(Direction(j_q), Direction(j_a), Direction(j_c)),
+        A=A, Q=Q, C=C, offsets=f.offset.copy(), directions=tuple(map(Direction, directions))
     )

@@ -11,7 +11,9 @@ comparison series (one per component):
 with x_i = x / 2^(ij), P = (k^2 |1-k^2|)^(-p), the sum starting at
 i = (1+j)/2, and nine inner terms whose coefficients and argument pairs are
 fixed by the equation.  Each recovered component then satisfies an explicit
-bound built from M = 2^(1/p-1) and psi^(1/p).
+bound built from M = 2^(1/p-1) and psi^(1/p).  A series takes the steps of
+its component's limit: approximants.IterKind gives its letter, its base b
+(k or 2), its weight b^d per step and its critical exponent, the degree d.
 
 For power controls every series is geometric, and the paper's closed forms
 evaluate the same quantities without summation.  They are one constant at
@@ -28,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .approximants import Direction
+from .approximants import Direction, IterKind
 from .equations import EquationParams
 from .errors import (
     CriticalExponentError,
@@ -36,11 +38,6 @@ from .errors import (
     InvalidInputError,
 )
 from .quasinorm import PNormSpace
-
-# Critical exponents: at these the step ratio of the matching series is 1.
-CRITICAL_QUADRATIC = 2.0
-CRITICAL_ADDITIVE = 1.0
-CRITICAL_CUBIC = 3.0
 
 _FORMS = ("constant", "sum", "product")
 
@@ -120,43 +117,31 @@ def select_direction(exponent: float, critical: float) -> Direction:
     return Direction.CONTRACT if exponent > critical else Direction.EXPAND
 
 
-class SeriesKind(Enum):
-    """The three comparison series, in the slot order of a directions triple."""
-
-    QUADRATIC = "e"
-    ADDITIVE = "a"
-    CUBIC = "c"
+_ODD_KINDS = tuple(kind for kind in IterKind if kind.odd)
 
 
-_CRITICAL = {
-    SeriesKind.QUADRATIC: CRITICAL_QUADRATIC,
-    SeriesKind.ADDITIVE: CRITICAL_ADDITIVE,
-    SeriesKind.CUBIC: CRITICAL_CUBIC,
-}
-
-
-def _series_exponents(kind: SeriesKind, phi: PowerBound) -> tuple[float, ...]:
+def _series_exponents(kind: IterKind, phi: PowerBound) -> tuple[float, ...]:
     """Degrees in |x| that the terms of the series grow with; () if it vanishes.
 
     psi_e reads phi on the y-axis only, so its one degree is the y-slot
     exponent; psi_a and psi_c read phi off the axes, so every live exponent
     counts.
     """
-    if kind is SeriesKind.QUADRATIC:
+    if not kind.odd:
         e_y = phi.y_slot_exponent()
         return () if e_y is None else (e_y,)
     return phi.exponents()
 
 
-def _select(kind: SeriesKind, phi: PowerBound) -> Direction:
+def _select(kind: IterKind, phi: PowerBound) -> Direction:
     exps = _series_exponents(kind, phi)
     if not exps:
         return Direction.EXPAND
-    dirs = {select_direction(e, _CRITICAL[kind]) for e in exps}
+    dirs = {select_direction(e, kind.degree) for e in exps}
     if len(dirs) != 1:
         raise CriticalExponentError(
             f"control exponents {exps} straddle the critical value "
-            f"{_CRITICAL[kind]}; no single direction makes the series converge"
+            f"{kind.degree}; no single direction makes the series converge"
         )
     return dirs.pop()
 
@@ -168,7 +153,7 @@ def select_directions(phi: PowerBound) -> tuple[Direction, Direction, Direction]
     either direction; EXPAND is reported for definiteness.  Raises
     CriticalExponentError if any component lacks a convergent direction.
     """
-    return tuple(_select(kind, phi) for kind in SeriesKind)
+    return tuple(_select(kind, phi) for kind in IterKind)
 
 
 def _maybe_directions(phi: PowerBound) -> tuple[Direction | None, ...]:
@@ -179,7 +164,7 @@ def _maybe_directions(phi: PowerBound) -> tuple[Direction | None, ...]:
     using a None slot raises at evaluation time.
     """
     out = []
-    for kind in SeriesKind:
+    for kind in IterKind:
         try:
             out.append(_select(kind, phi))
         except CriticalExponentError:
@@ -189,7 +174,7 @@ def _maybe_directions(phi: PowerBound) -> tuple[Direction | None, ...]:
 
 def quadratic_series_vanishes(phi: PowerBound) -> bool:
     """True when phi(0, y) == 0, making the quadratic bound trivially zero."""
-    return not _series_exponents(SeriesKind.QUADRATIC, phi)
+    return not _series_exponents(IterKind.QUADRATIC, phi)
 
 
 @dataclass(frozen=True)
@@ -218,13 +203,12 @@ class BoundContext:
         return quadratic_series_vanishes(self.phi)
 
 
-def _as_series_kind(kind) -> SeriesKind:
-    if isinstance(kind, SeriesKind):
-        return kind
-    try:
-        return SeriesKind(str(kind).lower())
-    except ValueError:
-        raise InvalidInputError(f"unknown series kind {kind!r}") from None
+def _as_series_kind(kind) -> IterKind:
+    """kind itself, or the IterKind whose series letter it names."""
+    for member in IterKind:
+        if kind is member or member.letter == str(kind).lower():
+            return member
+    raise InvalidInputError(f"unknown series kind {kind!r}")
 
 
 def _nine_terms(k: int, p: float) -> list[tuple[float, float, float]]:
@@ -243,25 +227,23 @@ def _nine_terms(k: int, p: float) -> list[tuple[float, float, float]]:
     ]
 
 
-def _series_geometry(kind: SeriesKind, ctx: BoundContext) -> tuple[float, float, int]:
+def _bases(kind: IterKind, ctx: BoundContext) -> tuple[float, float]:
+    """(b^d, |b|), a step's weight and argument scale before j; b^d is exact in integers."""
+    b = kind.base(ctx.params)
+    return float(b ** int(kind.degree)), abs(float(b))
+
+
+def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, int]:
     """(weight w, argument scale per step, start index) of the series."""
-    p = ctx.space.p
-    direction = ctx.directions[list(SeriesKind).index(kind)]
+    direction = ctx.directions[list(IterKind).index(kind)]
     if direction is None:
         raise CriticalExponentError(
-            f"series {kind.value!r} has no convergent direction for this control; "
+            f"series {kind.letter!r} has no convergent direction for this control; "
             "choose different exponents or pass directions explicitly"
         )
     j = int(direction)
-    if kind is SeriesKind.QUADRATIC:
-        base = float(ctx.params.k * ctx.params.k)
-        arg_scale = abs(float(ctx.params.k)) ** (-j)
-    else:
-        base = 2.0 if kind is SeriesKind.ADDITIVE else 8.0
-        arg_scale = 2.0 ** (-j)
-    w = base ** (p * j)
-    start = (1 + j) // 2
-    return w, arg_scale, start
+    weight, b = _bases(kind, ctx)
+    return weight ** (ctx.space.p * j), b ** (-j), (1 + j) // 2
 
 
 def series_step_ratio(kind, ctx: BoundContext) -> float:
@@ -291,19 +273,14 @@ def _inner_sum(ctx: BoundContext, xi: np.ndarray) -> np.ndarray:
     return pref * acc
 
 
-def _series_terms(
-    kind: SeriesKind, ctx: BoundContext, x: np.ndarray, idx: np.ndarray
-) -> np.ndarray:
+def _series_terms(kind: IterKind, ctx: BoundContext, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Terms of the series at indices idx, shape (len(idx),) + x.shape."""
     w, arg_scale, _ = _series_geometry(kind, ctx)
     p = ctx.space.p
     weights = w ** idx.astype(float)
     scales = arg_scale ** idx.astype(float)
     xi = scales[:, None] * np.abs(x).reshape(1, -1)  # (T, N)
-    if kind is SeriesKind.QUADRATIC:
-        inner = ctx.phi.value(np.zeros_like(xi), xi) ** p
-    else:
-        inner = _inner_sum(ctx, xi)
+    inner = _inner_sum(ctx, xi) if kind.odd else ctx.phi.value(np.zeros_like(xi), xi) ** p
     return weights[:, None] * inner
 
 
@@ -335,7 +312,7 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
         rho = series_step_ratio(kind, ctx)
         if rho >= 1.0:
             raise DivergentSeriesError(
-                f"series {kind.value!r} has step ratio {rho:.6g} >= 1 for control "
+                f"series {kind.letter!r} has step ratio {rho:.6g} >= 1 for control "
                 f"{ctx.phi.form!r} (r={ctx.phi.r}, s={ctx.phi.s}); "
                 "no convergent bound in this direction"
             )
@@ -350,7 +327,7 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
             n_finite = int(np.cumprod(np.isfinite(terms).all(axis=1)).sum())
             if n_finite == 0 and i == start:
                 raise InvalidInputError(
-                    f"series {kind.value!r} overflows float64 at term {i} (k = {ctx.params.k})"
+                    f"series {kind.letter!r} overflows float64 at term {i} (k = {ctx.params.k})"
                 )
             if n_finite == 0:
                 break
@@ -443,46 +420,43 @@ def stability_bound(kind, ctx: BoundContext, x):
 
 # --- closed forms ---------------------------------------------------------
 
-CONSTANT_NAMES = (
-    "delta_additive",
-    "delta_cubic",
-    "alpha_additive",
-    "alpha_cubic",
-    "beta_additive",
-    "beta_cubic",
-    "epsilon_additive",
-    "epsilon_cubic",
-    "gamma_additive",
-    "gamma_cubic",
-    "quadratic_factor",
-)
-
-
 # Which closed constant a power term |x|^r |y|^s reads, by its live exponents.
 _FAMILY = {
-    (False, False): "delta",
-    (True, False): "alpha",
-    (False, True): "beta",
-    (True, True): "epsilon",
+    (False, False): "delta", (True, False): "alpha", (False, True): "beta", (True, True): "epsilon"
 }
 
+CONSTANT_NAMES = tuple(
+    f"{family}_{kind.label}" for family in (*_FAMILY.values(), "gamma") for kind in _ODD_KINDS
+) + ("quadratic_factor",)
 
-def _closed_constant(ctx: BoundContext, kind: SeriesKind, r: float, s: float) -> float:
+
+def _denominator(kind: IterKind, ctx: BoundContext, lam: float) -> float:
+    """|(b^d)^p - |b|^(lam p)|: a closed form's denominator at control degree lam.
+
+    It vanishes at the critical exponent lam = d, where this raises.
+    """
+    select_direction(lam, kind.degree)
+    weight, b = _bases(kind, ctx)
+    p = ctx.space.p
+    return abs(weight**p - b ** (lam * p))
+
+
+def _closed_constant(ctx: BoundContext, kind: IterKind, r: float, s: float) -> float:
     """The paper's closed constant at control exponents (r, s), written out.
 
       ((|5-4k^2|^p + 2^(sp) |4-2k^2|^p + |1+2k|^(rp) + |1-2k|^(rp)
         + 2^p |1+k|^(rp) + 2^p |1-k|^(rp) + k^(2p) (2^((r+s)p) + 2^((r+1)p))
-        + 3^(sp)) / |b^p - 2^((r+s)p)|)^(1/p)
+        + 3^(sp)) / |(2^d)^p - 2^((r+s)p)|)^(1/p)
 
-    with b = 2 for the additive series and b = 8 for the cubic one.  It reads
-    no series code, so comparing it with the summed series checks both.
+    with d the odd kind's degree (2^d = 2 additive, 8 cubic).  It shares only
+    IterKind's bases with the series code, so comparing it with the summed
+    series checks both.
     """
     p = ctx.space.p
     k = ctx.params.k
     k2 = float(k * k)
     lam = r + s
-    # Raises at the critical exponent, where the denominator vanishes.
-    select_direction(lam, _CRITICAL[kind])
+    den = _denominator(kind, ctx, lam)
     two_p = 2.0**p
     num = (
         abs(5.0 - 4.0 * k2) ** p
@@ -494,11 +468,10 @@ def _closed_constant(ctx: BoundContext, kind: SeriesKind, r: float, s: float) ->
         + k2**p * (2.0 ** (lam * p) + 2.0 ** ((r + 1.0) * p))
         + 3.0 ** (s * p)
     )
-    base = 2.0 if kind is SeriesKind.ADDITIVE else 8.0
-    return (num / abs(base**p - 2.0 ** (lam * p))) ** (1.0 / p)
+    return (num / den) ** (1.0 / p)
 
 
-def _odd_constant(ctx: BoundContext, kind: SeriesKind, terms, x_norm: float) -> float:
+def _odd_constant(ctx: BoundContext, kind: IterKind, terms, x_norm: float) -> float:
     """(sum_t C(r_t, s_t)^p x_norm^((r_t + s_t) p))^(1/p) over power terms (r_t, s_t)."""
     p = ctx.space.p
     return sum(
@@ -509,16 +482,16 @@ def _odd_constant(ctx: BoundContext, kind: SeriesKind, terms, x_norm: float) -> 
 def corollary_constant(name: str, ctx: BoundContext, x_norm: float = 1.0) -> float:
     """Closed-form constant of the power-control bounds.
 
-    epsilon_* : control theta |x|^r |y|^s  (denominator |b^p - 2^((r+s)p)|)
+    epsilon_* : control theta |x|^r |y|^s  (denominator |(2^d)^p - 2^((r+s)p)|)
     delta_*   : constant control, epsilon at r = s = 0
     alpha_*   : control theta |x|^r, epsilon at s = 0
     beta_*    : control theta |y|^s, epsilon at r = 0
     gamma_*   : (alpha^p ||x||^(rp) + beta^p ||x||^(sp))^(1/p), x-dependent
     quadratic_factor : (||x||^(sp) / |k^(2p) - |k|^(sp)|)^(1/p)
 
-    with b = 2 for the additive flavor and b = 8 for the cubic one; r and s
-    are the context control's exponents.  x_norm only matters for the
-    gamma_* and quadratic_factor entries.
+    with the flavor (an odd IterKind's label) giving d; r and s are the
+    context control's exponents.  x_norm only matters for the gamma_* and
+    quadratic_factor entries.
     """
     if name not in CONSTANT_NAMES:
         raise InvalidInputError(f"unknown constant name {name!r}")
@@ -527,12 +500,10 @@ def corollary_constant(name: str, ctx: BoundContext, x_norm: float = 1.0) -> flo
     p = ctx.space.p
     r, s = ctx.phi.r, ctx.phi.s
     if name == "quadratic_factor":
-        k = ctx.params.k
-        select_direction(s, CRITICAL_QUADRATIC)  # raises where the denominator vanishes
-        den = abs(float(k * k) ** p - abs(float(k)) ** (s * p))
+        den = _denominator(IterKind.QUADRATIC, ctx, s)
         return (x_norm ** (s * p) / den) ** (1.0 / p)
     family, flavor = name.split("_")
-    kind = SeriesKind.ADDITIVE if flavor == "additive" else SeriesKind.CUBIC
+    kind = next(kind for kind in _ODD_KINDS if kind.label == flavor)
     if family == "gamma":
         return _odd_constant(ctx, kind, ((r, 0.0), (0.0, s)), x_norm)
     r_t = r if family in ("alpha", "epsilon") else 0.0
@@ -559,8 +530,7 @@ def full_bound_power(ctx: BoundContext, x_norm: float) -> float:
     M = ctx.space.modulus
     k2 = float(ctx.params.k * ctx.params.k)
     out = M**8 * phi.theta / (6.0 * k2 * abs(1.0 - k2)) * sum(
-        _odd_constant(ctx, kind, phi.terms(), x_norm)
-        for kind in (SeriesKind.ADDITIVE, SeriesKind.CUBIC)
+        _odd_constant(ctx, kind, phi.terms(), x_norm) for kind in _ODD_KINDS
     )
     if not quadratic_series_vanishes(phi):
         out += M**3 * phi.theta / 2.0 * corollary_constant("quadratic_factor", ctx, x_norm)
@@ -572,11 +542,7 @@ def bound_table(ctx: BoundContext, xs) -> dict:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     per_x = stability_bound(BoundKind.FULL, ctx, xs)
     phi = ctx.phi
-    names = [
-        f"{_FAMILY[r > 0, s > 0]}_{flavor}"
-        for r, s in phi.terms()
-        for flavor in ("additive", "cubic")
-    ]
+    names = [f"{_FAMILY[r > 0, s > 0]}_{kind.label}" for r, s in phi.terms() for kind in _ODD_KINDS]
     if not quadratic_series_vanishes(phi):
         names.append("quadratic_factor")
     constants: dict[str, float] = {}

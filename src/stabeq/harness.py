@@ -251,29 +251,31 @@ def calibrate_theta(
     residual at rounding-dust level (<= 1e-12 of the local evaluation scale);
     a genuine residual there raises UnboundablePerturbationError, since no
     amplitude makes the control cover it.  The result certifies domination on
-    the grid only, not off it.  A residual that is not finite in float64 (the
-    test map overflows on a huge grid) raises InvalidInputError naming the
-    first such pair.
+    the grid only, not off it.  A residual or unit control that is not finite
+    in float64 (the test map or the control overflows on a huge grid) raises
+    InvalidInputError naming the first such pair.
     """
     kind = EquationKind.general_mixed(params)
     unit = phi_form.instantiate(1.0)
+    control = f"control {phi_form.form}:{phi_form.r:g}:{phi_form.s:g}"
     ratio = 0.0
     for X, Y in pair_blocks(grid):
         with np.errstate(over="ignore", invalid="ignore"):
             resid, local_scale = operator_residual(f, kind, X, Y)
             rnorm = f.space.pnorm(resid)
-        if not np.all(np.isfinite(rnorm)):
-            i = int(np.argmin(np.isfinite(rnorm)))
-            where = (
-                f"grid {grid.lo:g}:{grid.hi:g}:{grid.count}"
-                if isinstance(grid, GridSpec)
-                else "the given pairs"
-            )
-            raise InvalidInputError(
-                f"residual is {rnorm[i]} at (x, y) = ({X[i]:.6g}, {Y[i]:.6g}) on "
-                f"{where}; no finite theta covers it"
-            )
-        phi_unit = unit.value(X, Y)
+            phi_unit = unit.value(X, Y)
+        for what, vals in (("residual", rnorm), (control, phi_unit)):
+            if not np.all(np.isfinite(vals)):
+                i = int(np.argmin(np.isfinite(vals)))
+                where = (
+                    f"grid {grid.lo:g}:{grid.hi:g}:{grid.count}"
+                    if isinstance(grid, GridSpec)
+                    else "the given pairs"
+                )
+                raise InvalidInputError(
+                    f"{what} is {vals[i]} at (x, y) = ({X[i]:.6g}, {Y[i]:.6g}) on "
+                    f"{where}; no finite theta covers it"
+                )
         dust = rnorm <= _ZERO_RESIDUAL_REL * local_scale
         uncovered = (phi_unit == 0.0) & ~dust
         if np.any(uncovered):

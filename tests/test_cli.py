@@ -264,6 +264,23 @@ def test_overflowing_grid_exits_2_naming_the_pair_without_warnings(runner):
     assert "(-1e+300, -1e+300)" in lines[0] and "RuntimeWarning" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--grid=-1e80:1e80:7", "--phi", "sum:4:4"),
+        ("--grid=-1e100:1e100:5", "--phi", "product:2:2", "--noise", "bounded_smooth:0.01:1"),
+    ],
+)
+def test_overflowing_control_exits_2_naming_it_without_warnings(runner, args):
+    """A control that overflows on the grid would calibrate theta = 0."""
+    result = invoke(runner, "experiment", *args, "--format", "json")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: control ")
+    assert "RuntimeWarning" not in result.stderr
+
+
 def test_check_on_an_overflowing_grid_fails_without_warnings(runner):
     result = invoke(runner, "check", "--grid=-1e300:1e300:7")
     assert result.exit_code == 1

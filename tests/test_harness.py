@@ -368,6 +368,34 @@ def test_calibrate_theta_names_the_first_non_finite_residual():
         assert where in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "phi, grid, noise",
+    [
+        (PhiForm("sum", 4.0, 4.0), GridSpec(-1e80, 1e80, 7), NoiseSpec()),
+        (
+            PhiForm("product", 2.0, 2.0),
+            GridSpec(-1e100, 1e100, 5),
+            NoiseSpec("bounded_smooth", 0.01, 1),
+        ),
+    ],
+)
+def test_calibrate_theta_names_the_first_non_finite_control(phi, grid, noise):
+    """The residual is finite but the unit control overflows float64: no
+    numpy warning and no theta of 0, an InvalidInputError naming the control,
+    the first such pair and the grid."""
+    cfg = ExperimentConfig(noise=noise, phi_form=phi, grid=grid)
+    f = make_test_function(cfg)
+    lo = f"{grid.lo:g}"
+    on_grid = f"grid {lo}:{grid.hi:g}:{grid.count}"
+    for g, where in ((grid, on_grid), (grid.pairs(), "the given pairs")):
+        with pytest.raises(InvalidInputError) as exc:
+            calibrate_theta(f, EquationParams(2), phi, g)
+        assert str(exc.value) == (
+            f"control {phi.form}:{phi.r:g}:{phi.s:g} is inf at (x, y) = ({lo}, {lo}) "
+            f"on {where}; no finite theta covers it"
+        )
+
+
 def calibration_peak_bytes(count):
     cfg = ExperimentConfig(
         codomain_dim=4,
