@@ -27,7 +27,7 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from .equations import EquationParams, FunctionHandle, parity_split
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 from .quasinorm import PNormSpace
 
 # Seed for the fixed pseudo-random probe set decompose_odd checks oddness on.
@@ -101,8 +101,10 @@ class IterationSpec:
             raise InvalidInputError("quadratic iteration requires EquationParams")
         if self.tol < 0:
             raise InvalidInputError(f"tol must be nonnegative, got {self.tol!r}")
-        if self.max_n is not None and self.max_n < 1:
-            raise InvalidInputError(f"max_n must be >= 1, got {self.max_n!r}")
+        if self.max_n is not None:
+            check_integer("max_n", self.max_n)
+            if self.max_n < 1:
+                raise InvalidInputError(f"max_n must be >= 1, got {self.max_n!r}")
 
     @property
     def cap(self) -> int:

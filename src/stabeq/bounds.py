@@ -2,18 +2,19 @@
 
 A perturbation control phi(x, y) = theta, theta(|x|^r + |y|^s) or
 theta |x|^r |y|^s is folded through the iteration machinery into three
-comparison series (one per component):
+comparison series, one per component.  Each is a prefactor P and rows
+(c_m, a_m, b_m) read at one geometry:
 
-  psi_e(x) = sum_i k^(2ipj) phi(0, x/k^(ij))^p
-  psi_a(x) = sum_i 2^(ipj) * P * sum_m c_m phi(a_m x_i, b_m x_i)^p
-  psi_c(x) = sum_i 8^(ipj) * P * (same nine inner terms)
+  psi(x) = sum_i w^i * P * sum_m c_m phi(a_m x_i, b_m x_i)^p,  x_i = |b|^(-ij) |x|
 
-with x_i = x / 2^(ij), P = (k^2 |1-k^2|)^(-p), the sum starting at
-i = (1+j)/2, and nine inner terms whose coefficients and argument pairs are
-fixed by the equation.  Each recovered component then satisfies an explicit
-bound built from M = 2^(1/p-1) and psi^(1/p).  A series takes the steps of
-its component's limit: approximants.IterKind gives its letter, its base b
-(k or 2), its weight b^d per step and its critical exponent, the degree d.
+from i = (1+j)/2, with w = (b^d)^(pj).  A series takes the steps of its
+component's limit: approximants.IterKind gives its letter, its base b (k or
+2) and its degree d, the critical exponent.  psi_e reads phi on the y-axis,
+the single row (1, 0, 1) with P = 1; psi_a and psi_c read the nine rows the
+equation fixes, with P = (k^2 |1-k^2|)^(-p).  A slot whose control exponents
+sit at or straddle the critical value has no convergent direction and raises
+CriticalExponentError at every theta, even where its series is zero.  Each
+recovered component satisfies a bound built from M = 2^(1/p-1) and psi^(1/p).
 
 For power controls every series is geometric, and the paper's closed forms
 evaluate the same quantities without summation.  They are one constant at
@@ -211,10 +212,14 @@ def _as_series_kind(kind) -> IterKind:
     raise InvalidInputError(f"unknown series kind {kind!r}")
 
 
-def _nine_terms(k: int, p: float) -> list[tuple[float, float, float]]:
-    """Inner terms (c_m, a_m, b_m): coefficient (already p-th powered), argument pair."""
+def _series_rows(kind: IterKind, ctx: BoundContext) -> tuple[float, list[tuple[float, float, float]]]:
+    """(P, rows (c_m, a_m, b_m)): prefactor, p-th powered coefficients and argument pairs."""
+    if not kind.odd:
+        return 1.0, [(1.0, 0.0, 1.0)]
+    p = ctx.space.p
+    k = ctx.params.k
     k2 = float(k * k)
-    return [
+    return (k2 * abs(1.0 - k2)) ** (-p), [
         (abs(5.0 - 4.0 * k2) ** p, 1.0, 1.0),
         (k2**p, 2.0, 2.0),
         ((2.0 * k2) ** p, 2.0, 1.0),
@@ -233,8 +238,12 @@ def _bases(kind: IterKind, ctx: BoundContext) -> tuple[float, float]:
     return float(b ** int(kind.degree)), abs(float(b))
 
 
-def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, int]:
-    """(weight w, argument scale per step, start index) of the series."""
+def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, int, float]:
+    """(weight w, argument scale per step, start index, step ratio rho) of the series.
+
+    rho bounds term(i+1)/term(i) and is 0 when the series is identically zero.
+    A slot with no convergent direction raises, whatever theta is.
+    """
     direction = ctx.directions[list(IterKind).index(kind)]
     if direction is None:
         raise CriticalExponentError(
@@ -243,7 +252,11 @@ def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, i
         )
     j = int(direction)
     weight, b = _bases(kind, ctx)
-    return weight ** (ctx.space.p * j), b ** (-j), (1 + j) // 2
+    p = ctx.space.p
+    w, arg_scale = weight ** (p * j), b ** (-j)
+    exps = _series_exponents(kind, ctx.phi) if ctx.phi.theta != 0.0 else ()
+    rho = max((w * arg_scale ** (e * p) for e in exps), default=0.0)
+    return w, arg_scale, (1 + j) // 2, float(rho)
 
 
 def series_step_ratio(kind, ctx: BoundContext) -> float:
@@ -252,36 +265,7 @@ def series_step_ratio(kind, ctx: BoundContext) -> float:
     Zero when the series is identically zero (quadratic kind with a control
     vanishing on the y-axis, or theta = 0).
     """
-    kind = _as_series_kind(kind)
-    exps = _series_exponents(kind, ctx.phi)
-    if ctx.phi.theta == 0.0 or not exps:
-        return 0.0
-    w, arg_scale, _ = _series_geometry(kind, ctx)
-    p = ctx.space.p
-    return float(max(w * arg_scale ** (e * p) for e in exps))
-
-
-def _inner_sum(ctx: BoundContext, xi: np.ndarray) -> np.ndarray:
-    """P * sum_m c_m phi(a_m xi, b_m xi)^p, elementwise over xi."""
-    p = ctx.space.p
-    k = ctx.params.k
-    k2 = float(k * k)
-    pref = (k2 * abs(1.0 - k2)) ** (-p)
-    acc = np.zeros_like(xi, dtype=float)
-    for c_m, a_m, b_m in _nine_terms(k, p):
-        acc += c_m * ctx.phi.value(a_m * xi, b_m * xi) ** p
-    return pref * acc
-
-
-def _series_terms(kind: IterKind, ctx: BoundContext, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Terms of the series at indices idx, shape (len(idx),) + x.shape."""
-    w, arg_scale, _ = _series_geometry(kind, ctx)
-    p = ctx.space.p
-    weights = w ** idx.astype(float)
-    scales = arg_scale ** idx.astype(float)
-    xi = scales[:, None] * np.abs(x).reshape(1, -1)  # (T, N)
-    inner = _inner_sum(ctx, xi) if kind.odd else ctx.phi.value(np.zeros_like(xi), xi) ** p
-    return weights[:, None] * inner
+    return _series_geometry(_as_series_kind(kind), ctx)[3]
 
 
 def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
@@ -296,6 +280,7 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
     term(i+1) <= rho * term(i) the terms left out are negligible.
     """
     kind = _as_series_kind(kind)
+    w, arg_scale, start, rho = _series_geometry(kind, ctx)
     xs = np.asarray(x, dtype=float)
     # Sum once per distinct |x|: the terms are pointwise, and the stopping
     # tests (all finite, all below the tail) see the same set of values.  A
@@ -307,23 +292,29 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
         dtype=np.intp,
     )
     flat = np.array(list(first_seen), dtype=float)
+    if not np.isfinite(flat).all():
+        raise InvalidInputError(f"x must be finite, got {float(xs[~np.isfinite(xs)][0])}")
     total = np.zeros_like(flat)
     if ctx.phi.theta != 0.0 and _series_exponents(kind, ctx.phi):
-        rho = series_step_ratio(kind, ctx)
         if rho >= 1.0:
             raise DivergentSeriesError(
                 f"series {kind.letter!r} has step ratio {rho:.6g} >= 1 for control "
                 f"{ctx.phi.form!r} (r={ctx.phi.r}, s={ctx.phi.s}); "
                 "no convergent bound in this direction"
             )
-        _, _, start = _series_geometry(kind, ctx)
+        pref, rows = _series_rows(kind, ctx)
+        p = ctx.space.p
         stop = start + (_TERM_CAP if n_terms is None else n_terms)
         last = np.zeros_like(flat)
         i = start
         while i < stop:
-            idx = np.arange(i, min(i + _CHUNK, stop))
+            idx = np.arange(i, min(i + _CHUNK, stop)).astype(float)
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = _series_terms(kind, ctx, flat, idx)
+                xi = (arg_scale**idx)[:, None] * flat[None, :]  # (T, N)
+                acc = np.zeros_like(xi)
+                for c_m, a_m, b_m in rows:
+                    acc += c_m * ctx.phi.value(a_m * xi, b_m * xi) ** p
+                terms = (w**idx)[:, None] * (pref * acc)
             n_finite = int(np.cumprod(np.isfinite(terms).all(axis=1)).sum())
             if n_finite == 0 and i == start:
                 raise InvalidInputError(
@@ -495,8 +486,8 @@ def corollary_constant(name: str, ctx: BoundContext, x_norm: float = 1.0) -> flo
     """
     if name not in CONSTANT_NAMES:
         raise InvalidInputError(f"unknown constant name {name!r}")
-    if x_norm < 0:
-        raise InvalidInputError(f"x_norm must be >= 0, got {x_norm!r}")
+    if not 0.0 <= x_norm < np.inf:
+        raise InvalidInputError(f"x_norm must be finite and >= 0, got {x_norm!r}")
     p = ctx.space.p
     r, s = ctx.phi.r, ctx.phi.s
     if name == "quadratic_factor":
@@ -521,8 +512,8 @@ def full_bound_power(ctx: BoundContext, x_norm: float) -> float:
     product) and, when phi has a live y-term, a quadratic block
     (M^3 theta / 2) * quadratic_factor.
     """
-    if x_norm < 0:
-        raise InvalidInputError(f"x_norm must be >= 0, got {x_norm!r}")
+    if not 0.0 <= x_norm < np.inf:
+        raise InvalidInputError(f"x_norm must be finite and >= 0, got {x_norm!r}")
     phi = ctx.phi
     if phi.form not in ("sum", "product"):
         raise InvalidInputError("closed full bound needs a sum or product control")
@@ -540,18 +531,12 @@ def full_bound_power(ctx: BoundContext, x_norm: float) -> float:
 def bound_table(ctx: BoundContext, xs) -> dict:
     """JSON-ready table: directions, applicable closed constants, per-x bounds."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    # per_x reads every slot's direction: a critical control raises here.
     per_x = stability_bound(BoundKind.FULL, ctx, xs)
     phi = ctx.phi
     names = [f"{_FAMILY[r > 0, s > 0]}_{kind.label}" for r, s in phi.terms() for kind in _ODD_KINDS]
     if not quadratic_series_vanishes(phi):
         names.append("quadratic_factor")
-    constants: dict[str, float] = {}
-    for name in names:
-        try:
-            constants[name] = corollary_constant(name, ctx, 1.0)
-        except CriticalExponentError:
-            # Only theta = 0 gets here: its zero series read no directions.
-            constants[name] = float("nan")
     return {
         "kind": "full",
         "k": ctx.params.k,
@@ -561,8 +546,8 @@ def bound_table(ctx: BoundContext, xs) -> dict:
         "r": phi.r,
         "s": phi.s,
         "form": phi.form,
-        "j": [0 if d is None else int(d) for d in ctx.directions],
-        "constants": constants,
+        "j": [int(d) for d in ctx.directions],
+        "constants": {name: corollary_constant(name, ctx, 1.0) for name in names},
         "per_x": [
             {"x": float(x), "bound": float(b)} for x, b in zip(xs, per_x)
         ],

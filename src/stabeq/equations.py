@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 from .quasinorm import PNormSpace
 
 
@@ -30,8 +30,7 @@ class EquationParams:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)):
-            raise InvalidInputError(f"k must be an integer, got {self.k!r}")
+        check_integer("k", self.k)
         if self.k in (-1, 0, 1):
             raise InvalidInputError(f"k must satisfy |k| >= 2, got {self.k}")
 

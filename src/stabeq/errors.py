@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+from numbers import Integral
 
 
 class InvalidInputError(ValueError):
@@ -24,3 +26,9 @@ class UnboundablePerturbationError(ArithmeticError):
     residual is above the rounding floor: no finite theta makes the control
     dominate there.
     """
+
+
+def check_integer(name: str, value) -> None:
+    """Raise InvalidInputError naming the field unless value is a Python or numpy integer."""
+    if not isinstance(value, Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")

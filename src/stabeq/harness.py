@@ -35,7 +35,7 @@ from .equations import (
     pair_blocks,
     to_json,
 )
-from .errors import InvalidInputError, UnboundablePerturbationError
+from .errors import InvalidInputError, UnboundablePerturbationError, check_integer
 from .quasinorm import PNormSpace
 
 _NOISE_KINDS = ("none", "bounded_smooth", "power_scaled")
@@ -72,6 +72,7 @@ class NoiseSpec:
             raise InvalidInputError(
                 f"noise amplitude must be finite and >= 0, got {self.amplitude!r}"
             )
+        check_integer("noise seed", self.seed)
         if self.seed < 0:
             raise InvalidInputError(f"noise seed must be >= 0, got {self.seed!r}")
 
@@ -104,6 +105,7 @@ class GridSpec:
     count: int = 101
 
     def __post_init__(self) -> None:
+        check_integer("grid count", self.count)
         if not (self.count >= 2 and -np.inf < self.lo < self.hi < np.inf):
             raise InvalidInputError("grid needs finite lo < hi and count >= 2")
 
@@ -144,6 +146,7 @@ class ExperimentConfig:
                 )
         if not (0.0 <= self.tol < np.inf):
             raise InvalidInputError(f"tol must be finite and >= 0, got {self.tol!r}")
+        check_integer("max_n", self.max_n)
         if self.max_n < 1:
             raise InvalidInputError("max_n must be >= 1")
 

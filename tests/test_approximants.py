@@ -87,6 +87,8 @@ def test_iteration_spec_validation():
         IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, tol=-1e-3)
     with pytest.raises(InvalidInputError):
         IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, max_n=0)
+    with pytest.raises(InvalidInputError, match="max_n must be an integer"):
+        IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, max_n=2.5)
     assert IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT).cap == 48
     assert IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, params=K2).cap == 30
     assert IterationSpec(IterKind.CUBIC, Direction.EXPAND, max_n=5).cap == 5

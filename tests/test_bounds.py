@@ -153,6 +153,20 @@ def test_lenient_context_marks_unusable_slot_only():
     assert stability_bound("quadratic", ctx, 1.0) == pytest.approx(1.0 / 24.0, rel=1e-12)
     with pytest.raises(CriticalExponentError):
         psi_tilde_bound("a", ctx, 1.0)
+    # theta = 0 zeroes the series but leaves the additive slot without a
+    # direction: the quadratic bound is served, every reader of psi_a raises.
+    zero = ctx_for(2, 1.0, PowerBound("sum", 0.0, 0.5, 4.0))
+    assert zero.directions == ctx.directions
+    assert psi_tilde_bound("e", zero, 1.0) == 0.0
+    assert stability_bound("quadratic", zero, [0.0, 1.0]).tolist() == [0.0, 0.0]
+    for call in (
+        lambda: psi_tilde_bound("a", zero, 1.0),
+        lambda: psi_tilde_numeric("a", zero, 1.0, 5),
+        lambda: series_step_ratio("a", zero),
+        *(lambda kind=kind: stability_bound(kind, zero, 1.0) for kind in ("additive_g", "odd_combined", "full")),
+    ):
+        with pytest.raises(CriticalExponentError):
+            call()
 
 
 # --- series values --------------------------------------------------------
@@ -272,6 +286,22 @@ def test_psi_numeric_rejects_bad_term_count():
         psi_tilde_numeric("a", ctx, 1.0, 0)
     with pytest.raises(InvalidInputError):
         psi_tilde_numeric("zeta", ctx, 1.0, 5)
+    # A non-finite x is rejected by name under every control, theta = 0 too.
+    for phi in (
+        PowerBound("constant", 1.0),
+        PowerBound("sum", 1.0, 4.0, 4.0),
+        PowerBound("product", 1.0, 2.0, 2.0),
+        PowerBound("constant", 0.0),
+    ):
+        ctx = ctx_for(2, 1.0, phi)
+        for x in (np.nan, np.inf, -np.inf, [1.0, np.nan, 2.0]):
+            for call in (
+                *(lambda s=s: psi_tilde_bound(s, ctx, x) for s in "aec"),
+                lambda: psi_tilde_numeric("a", ctx, x, 5),
+                *(lambda kind=kind: stability_bound(kind, ctx, x) for kind in BoundKind),
+            ):
+                with pytest.raises(InvalidInputError, match="x must be finite"):
+                    call()
 
 
 # --- stability bounds -----------------------------------------------------
@@ -492,8 +522,9 @@ def test_corollary_constant_validation():
     ctx = ctx_for(2, 1.0, PowerBound("constant", 1.0))
     with pytest.raises(InvalidInputError):
         corollary_constant("omega_additive", ctx)
-    with pytest.raises(InvalidInputError):
-        corollary_constant("delta_additive", ctx, x_norm=-1.0)
+    for x_norm in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            corollary_constant("delta_additive", ctx, x_norm=x_norm)
     crit = ctx_for(2, 1.0, PowerBound("sum", 1.0, 1.0, 0.0))
     with pytest.raises(CriticalExponentError):
         corollary_constant("alpha_additive", crit)
@@ -548,8 +579,9 @@ def test_full_bound_power_validation():
     with pytest.raises(InvalidInputError):
         full_bound_power(const, 1.0)
     ctx = ctx_for(2, 1.0, PowerBound("sum", 1.0, 4.0, 4.0))
-    with pytest.raises(InvalidInputError):
-        full_bound_power(ctx, -2.0)
+    for x_norm in (-2.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            full_bound_power(ctx, x_norm)
 
 
 # --- bound table ----------------------------------------------------------
@@ -582,43 +614,26 @@ SWEEP_CONTROLS = (
 )
 
 
-def constant_is_critical(name, phi):
-    """The closed constant's exponent sits at its critical value."""
-    if name == "quadratic_factor":
-        return phi.s == 2.0
-    family, flavor = name.split("_")
-    lam = {"delta": 0.0, "alpha": phi.r, "beta": phi.s, "epsilon": phi.r + phi.s}[family]
-    return lam == (1.0 if flavor == "additive" else 3.0)
-
-
+@pytest.mark.parametrize("theta", [1.0, 0.0])
 @pytest.mark.parametrize("k", [2, -2, 3, 5])
 @pytest.mark.parametrize("p", [1.0, 0.5])
-def test_bound_table_raises_or_is_strict_json(k, p):
-    """theta > 0: a listed constant is critical only when its series is too,
-    so the table raises exactly where select_directions does and otherwise
-    holds only finite numbers."""
+def test_bound_table_raises_or_is_strict_json(k, p, theta):
+    """A listed constant is critical only when its series is too, and a
+    series slot with no direction raises at every theta, so the table raises
+    exactly where select_directions does and otherwise holds only finite
+    numbers; at theta = 0 its bounds are all zero."""
     for phi in SWEEP_CONTROLS:
-        ctx = ctx_for(k, p, phi)
+        ctx = ctx_for(k, p, PowerBound(phi.form, theta, phi.r, phi.s))
         try:
             select_directions(phi)
         except CriticalExponentError:
             with pytest.raises(CriticalExponentError):
                 bound_table(ctx, [-2.0, 0.0, 0.5, 3.0])
             continue
-        json.dumps(bound_table(ctx, [-2.0, 0.0, 0.5, 3.0]), allow_nan=False)
-
-
-@pytest.mark.parametrize("k", [2, -2, 3, 5])
-@pytest.mark.parametrize("p", [1.0, 0.5])
-def test_bound_table_of_a_zero_control_marks_critical_constants_nan(k, p):
-    """theta = 0: the series are zero and read no directions, so the table
-    never raises; a constant at its critical exponent is written as NaN."""
-    for phi in SWEEP_CONTROLS:
-        ctx = ctx_for(k, p, PowerBound(phi.form, 0.0, phi.r, phi.s))
         table = bound_table(ctx, [-2.0, 0.0, 0.5, 3.0])
-        assert [row["bound"] for row in table["per_x"]] == [0.0] * 4
-        for name, value in table["constants"].items():
-            assert np.isnan(value) == constant_is_critical(name, phi), (phi, name)
+        json.dumps(table, allow_nan=False)
+        if theta == 0.0:
+            assert [row["bound"] for row in table["per_x"]] == [0.0] * 4
 
 
 def test_bound_table_straddling_control_raises():

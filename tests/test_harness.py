@@ -44,6 +44,8 @@ def test_noise_spec_validation():
         NoiseSpec("bounded_smooth", -0.1)
     with pytest.raises(InvalidInputError, match="seed"):
         NoiseSpec("bounded_smooth", 0.01, -1)
+    with pytest.raises(InvalidInputError, match="noise seed must be an integer"):
+        NoiseSpec("bounded_smooth", 0.01, 1.5)
     assert NoiseSpec().kind == "none"
 
 
@@ -64,6 +66,9 @@ def test_grid_spec():
         GridSpec(lo=1.0, hi=1.0)
     with pytest.raises(InvalidInputError):
         GridSpec(count=1)
+    with pytest.raises(InvalidInputError, match="grid count must be an integer"):
+        GridSpec(-1.0, 1.0, 5.5)
+    assert GridSpec(-1.0, 1.0, np.int64(5)).points().size == 5
     g = GridSpec(-2.0, 2.0, 5)
     assert np.array_equal(g.points(), [-2.0, -1.0, 0.0, 1.0, 2.0])
     assert g.pairs().shape == (25, 2)
@@ -77,6 +82,8 @@ def test_experiment_config_validation():
         ExperimentConfig(tol=-1e-9)
     with pytest.raises(InvalidInputError):
         ExperimentConfig(max_n=0)
+    with pytest.raises(InvalidInputError, match="max_n must be an integer"):
+        ExperimentConfig(max_n=2.5)
     for poly in ((("a",), 1.0, 1.0), ((1.0, 2.0), 1.0, 1.0), (np.inf, 0.0, 0.0), (1.0, np.nan, 1.0)):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(poly=poly)
