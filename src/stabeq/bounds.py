@@ -11,8 +11,10 @@ from i = (1+j)/2, with w = (b^d)^(pj).  A series takes the steps of its
 component's limit: approximants.IterKind gives its letter, its base b (k or
 2) and its degree d, the critical exponent.  psi_e reads phi on the y-axis,
 the single row (1, 0, 1) with P = 1; psi_a and psi_c read the nine rows the
-equation fixes, with P = (k^2 |1-k^2|)^(-p).  A slot whose control exponents
-sit at or straddle the critical value has no convergent direction and raises
+equation fixes, with P = (k^2 |1-k^2|)^(-p).  Where phi has one degree lam
+in a series' slot, the series is homogeneous, psi(x) = |x|^(lam p) psi(1),
+and is summed once, at |x| = 1.  A slot whose control exponents sit at or
+straddle the critical value has no convergent direction and raises
 CriticalExponentError at every theta, even where its series is zero.  Each
 recovered component satisfies a bound built from M = 2^(1/p-1) and psi^(1/p).
 
@@ -33,11 +35,7 @@ import numpy as np
 
 from .approximants import Direction, IterKind
 from .equations import EquationParams
-from .errors import (
-    CriticalExponentError,
-    DivergentSeriesError,
-    InvalidInputError,
-)
+from .errors import CriticalExponentError, DivergentSeriesError, InvalidInputError
 from .quasinorm import PNormSpace
 
 _FORMS = ("constant", "sum", "product")
@@ -47,6 +45,7 @@ _FORMS = ("constant", "sum", "product")
 _TAIL_REL = 1e-15
 _TERM_CAP = 1 << 20
 _CHUNK = 64
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,7 @@ def _bases(kind: IterKind, ctx: BoundContext) -> tuple[float, float]:
 
 
 def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, int, float]:
-    """(weight w, argument scale per step, start index, step ratio rho) of the series.
+    """(weight w, argument scale per step, direction j, step ratio rho) of the series.
 
     rho bounds term(i+1)/term(i) and is 0 when the series is identically zero.
     A slot with no convergent direction raises, whatever theta is.
@@ -256,11 +255,11 @@ def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, i
     w, arg_scale = weight ** (p * j), b ** (-j)
     exps = _series_exponents(kind, ctx.phi) if ctx.phi.theta != 0.0 else ()
     rho = max((w * arg_scale ** (e * p) for e in exps), default=0.0)
-    return w, arg_scale, (1 + j) // 2, float(rho)
+    return w, arg_scale, j, float(rho)
 
 
 def series_step_ratio(kind, ctx: BoundContext) -> float:
-    """Upper bound on term(i+1)/term(i); the series converges iff < 1.
+    """Upper bound on term(i+1)/term(i), rounded: convergence reads the exponents.
 
     Zero when the series is identically zero (quadratic kind with a control
     vanishing on the y-axis, or theta = 0).
@@ -271,55 +270,56 @@ def series_step_ratio(kind, ctx: BoundContext) -> float:
 def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
     """The series at |x|, summed in chunks of _CHUNK terms.
 
+    One degree lam in the series' slot (_series_exponents) makes each term
+    homogeneous, phi(a_m t xi, b_m t xi)^p = t^(lam p) phi(a_m xi, b_m xi)^p,
+    so psi(x) = |x|^(lam p) psi(1) is summed once, at |x| = 1, unless psi(1)
+    is below float64's normal range; a scale-up past float64 raises.  Two
+    degrees (psi_a, psi_c under a sum with r != s, both > 0) sum at each
+    point.  It diverges iff a degree e has j (e - d) <= 0 (direction j,
+    critical exponent d): exact, unlike the rounded rho.
+
     With n_terms, the partial sum of the first n_terms terms.  Without, terms
     are added until the tail bound (last term * rho/(1-rho)) is below 1e-15
     of the running sum at every point, and then that tail bound is added, so
-    the result dominates the true sum.  Either way summing stops before the
-    first term that is not finite in float64: for a huge |k| the argument
-    scale k^i overflows within one chunk while its weight underflows, and as
-    term(i+1) <= rho * term(i) the terms left out are negligible.
+    the result dominates the true sum.  Summing stops before the first term
+    that is not finite in float64: for a huge |k| the argument scale k^i
+    overflows within a chunk while its weight underflows, and as term(i+1)
+    <= rho * term(i) the terms left out are negligible.
     """
     kind = _as_series_kind(kind)
-    w, arg_scale, start, rho = _series_geometry(kind, ctx)
+    w, arg_scale, j, rho = _series_geometry(kind, ctx)
     xs = np.asarray(x, dtype=float)
-    # Sum once per distinct |x|: the terms are pointwise, and the stopping
-    # tests (all finite, all below the tail) see the same set of values.  A
-    # dict finds them without np.unique's sort, whose kernels alone add
-    # about 0.3 MB to the peak RSS of a 101-point certificate.
-    first_seen: dict[float, int] = {}
-    inverse = np.array(
-        [first_seen.setdefault(v, len(first_seen)) for v in np.abs(xs.reshape(-1)).tolist()],
-        dtype=np.intp,
-    )
-    flat = np.array(list(first_seen), dtype=float)
+    flat = xs.reshape(-1)
     if not np.isfinite(flat).all():
-        raise InvalidInputError(f"x must be finite, got {float(xs[~np.isfinite(xs)][0])}")
-    total = np.zeros_like(flat)
-    if ctx.phi.theta != 0.0 and _series_exponents(kind, ctx.phi):
-        if rho >= 1.0:
-            raise DivergentSeriesError(
-                f"series {kind.letter!r} has step ratio {rho:.6g} >= 1 for control "
-                f"{ctx.phi.form!r} (r={ctx.phi.r}, s={ctx.phi.s}); "
-                "no convergent bound in this direction"
-            )
-        pref, rows = _series_rows(kind, ctx)
-        p = ctx.space.p
+        raise InvalidInputError(f"x must be finite, got {float(flat[~np.isfinite(flat)][0])}")
+    phi = ctx.phi
+    degrees = set(_series_exponents(kind, phi))
+    if phi.theta == 0.0 or not degrees:
+        return 0.0 if xs.ndim == 0 else np.zeros(xs.shape)
+    where = f"series {kind.letter!r} at k = {ctx.params.k}, {phi.form!r} (r={phi.r}, s={phi.s})"
+    if any(j * (e - kind.degree) <= 0 for e in degrees):
+        raise DivergentSeriesError(f"{where} diverges in direction j = {j} (step ratio {rho:.6g})")
+    if rho >= 1.0:
+        raise InvalidInputError(f"{where} converges, but its step ratio rounds to {rho!r}")
+    tail_ratio = rho / (1.0 - rho)
+    pref, rows = _series_rows(kind, ctx)
+    p = ctx.space.p
+
+    def summed(pts):
+        start = i = (1 + j) // 2
         stop = start + (_TERM_CAP if n_terms is None else n_terms)
-        last = np.zeros_like(flat)
-        i = start
+        total, last = np.zeros_like(pts), np.zeros_like(pts)
         while i < stop:
             idx = np.arange(i, min(i + _CHUNK, stop)).astype(float)
             with np.errstate(over="ignore", invalid="ignore"):
-                xi = (arg_scale**idx)[:, None] * flat[None, :]  # (T, N)
+                xi = (arg_scale**idx)[:, None] * pts[None, :]  # (T, N)
                 acc = np.zeros_like(xi)
                 for c_m, a_m, b_m in rows:
-                    acc += c_m * ctx.phi.value(a_m * xi, b_m * xi) ** p
+                    acc += c_m * phi.value(a_m * xi, b_m * xi) ** p
                 terms = (w**idx)[:, None] * (pref * acc)
             n_finite = int(np.cumprod(np.isfinite(terms).all(axis=1)).sum())
             if n_finite == 0 and i == start:
-                raise InvalidInputError(
-                    f"series {kind.letter!r} overflows float64 at term {i} (k = {ctx.params.k})"
-                )
+                raise InvalidInputError(f"{where} overflows float64 at term {i}")
             if n_finite == 0:
                 break
             terms = terms[:n_finite]
@@ -328,14 +328,22 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
             total += np.cumsum(terms, axis=0)[-1]
             last = terms[-1]
             i += _CHUNK
-            tail = last * (rho / (1.0 - rho))
             if n_finite < idx.size or (
-                n_terms is None and np.all(tail <= _TAIL_REL * total + np.finfo(float).tiny)
+                n_terms is None and np.all(last * tail_ratio <= _TAIL_REL * total + _TINY)
             ):
                 break
-        if n_terms is None:
-            total += last * (rho / (1.0 - rho))
-    out = total[inverse].reshape(xs.shape)
+        return total + last * tail_ratio if n_terms is None else total
+
+    total = None
+    if len(degrees) == 1 and (psi1 := summed(np.ones(1))[0]) >= _TINY:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.abs(flat) ** (degrees.pop() * p) * psi1
+        if np.isinf(total).any():
+            bad = float(flat[np.isinf(total)][0])
+            raise InvalidInputError(f"{where} leaves float64 at x = {bad!r}")
+    if total is None:
+        total = summed(np.abs(flat))
+    out = total.reshape(xs.shape)
     return float(out) if xs.ndim == 0 else out
 
 
@@ -343,8 +351,8 @@ def psi_tilde_numeric(kind, ctx: BoundContext, x, n_terms: int):
     """Partial sum of the comparison series: its first n_terms terms.
 
     The start index is 0 for EXPAND and 1 for CONTRACT.  Raises
-    DivergentSeriesError when the configuration's step ratio is >= 1 (partial
-    sums of a divergent comparison series certify nothing).
+    DivergentSeriesError when the direction does not make the series
+    converge (partial sums of a divergent comparison series certify nothing).
     """
     if n_terms < 1:
         raise InvalidInputError(f"n_terms must be >= 1, got {n_terms!r}")
@@ -391,21 +399,22 @@ def stability_bound(kind, ctx: BoundContext, x):
     def psi(series, pts):
         return np.asarray(psi_tilde_bound(series, ctx, pts), dtype=float)
 
-    if kind is BoundKind.QUADRATIC:
-        out = (M / (2.0 * k2)) * psi("e", xs) ** ip
-    elif kind is BoundKind.ADDITIVE_G:
-        out = (M**5 / 2.0) * psi("a", xs) ** ip
-    elif kind is BoundKind.CUBIC_H:
-        out = (M**5 / 8.0) * psi("c", xs) ** ip
-    elif kind is BoundKind.ODD_COMBINED:
-        out = (M**6 / 48.0) * (4.0 * psi("a", xs) ** ip + psi("c", xs) ** ip)
-    else:  # FULL
-        psa = psi("a", xs) + psi("a", -xs)
-        psc = psi("c", xs) + psi("c", -xs)
-        pse = psi("e", xs) + psi("e", -xs)
-        out = (M**8 / 96.0) * (4.0 * psa**ip + psc**ip) + (
-            M**3 / (4.0 * k2)
-        ) * pse**ip
+    with np.errstate(over="ignore"):  # a finite psi can still have psi^(1/p) = inf
+        if kind is BoundKind.QUADRATIC:
+            out = (M / (2.0 * k2)) * psi("e", xs) ** ip
+        elif kind is BoundKind.ADDITIVE_G:
+            out = (M**5 / 2.0) * psi("a", xs) ** ip
+        elif kind is BoundKind.CUBIC_H:
+            out = (M**5 / 8.0) * psi("c", xs) ** ip
+        elif kind is BoundKind.ODD_COMBINED:
+            out = (M**6 / 48.0) * (4.0 * psi("a", xs) ** ip + psi("c", xs) ** ip)
+        else:  # FULL
+            psa = psi("a", xs) + psi("a", -xs)
+            psc = psi("c", xs) + psi("c", -xs)
+            pse = psi("e", xs) + psi("e", -xs)
+            out = (M**8 / 96.0) * (4.0 * psa**ip + psc**ip) + (M**3 / (4.0 * k2)) * pse**ip
+    if not np.isfinite(out).all():
+        raise InvalidInputError(f"{kind.value} bound overflows at x = {xs[~np.isfinite(out)][0]}")
     return float(out) if xs.ndim == 0 else out
 
 

@@ -16,7 +16,7 @@ class CriticalExponentError(ValueError):
 
 
 class DivergentSeriesError(ArithmeticError):
-    """Raised when a comparison series has step ratio >= 1 for a nonzero term."""
+    """Raised when a nonzero comparison series diverges in its chosen direction."""
 
 
 class UnboundablePerturbationError(ArithmeticError):

@@ -6,6 +6,7 @@ nine-term table, independent of the vectorized implementation under test.
 
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -71,6 +72,64 @@ def psi_ref_quadratic(k, p, phi, x, j, n_terms):
         xi = x / (float(abs(k)) ** (i * j))
         total += (k * k) ** (p * i * j) * float(phi.value(0.0, xi)) ** p
     return total
+
+
+def psi_oracle(kind, k, p, phi, x, j):
+    """The comparison series at x to 50 digits: the frozen rows at the series' geometry.
+
+    Term i reads phi at (a_m xi_i, b_m xi_i), xi_i = |x| / base^(ij), from
+    i = (1+j)/2.  Under a control of one degree the terms are geometric, so
+    the ratio of the first two terms, checked on the third, gives the tail
+    exactly.
+    """
+    with mp.workdps(50):
+        if kind == "e":
+            base, weight, pref, rows = abs(k), k * k, mp.mpf(1), [(1, (0, 1))]
+        else:
+            base, weight = 2, {"a": 2, "c": 8}[kind]
+            pref = mp.mpf(k * k * abs(1 - k * k)) ** -p
+            rows = list(zip(*NINE_TERMS[k]))
+        ax, theta = abs(mp.mpf(x)), mp.mpf(phi.theta)
+
+        def control(u, v):
+            return theta * mp.fsum(abs(u) ** r * abs(v) ** s for r, s in phi.terms())
+
+        def term(i):
+            xi = ax / mp.mpf(base) ** (i * j)
+            inner = mp.fsum(mp.mpf(c) ** p * control(a * xi, b * xi) ** p for c, (a, b) in rows)
+            return mp.mpf(weight) ** (p * i * j) * pref * inner
+
+        start = 0 if j < 0 else 1
+        t0, t1, t2 = term(start), term(start + 1), term(start + 2)
+        if t0 == 0:
+            return 0.0
+        rho = t1 / t0
+        assert abs(t2 - rho * t1) <= mp.mpf(10) ** -45 * t1
+        return t0 / (1 - rho)
+
+
+ORACLE_CASES = [
+    (3, 0.5, PowerBound("sum", 2.16, 4.0, 4.0)),
+    (2, 1.0, PowerBound("constant", 1.0)),
+    (2, 0.75, PowerBound("product", 1.0, 0.25, 0.5)),
+]
+
+
+@pytest.mark.parametrize("k, p, phi", ORACLE_CASES)
+def test_psi_matches_a_50_digit_oracle(k, p, phi):
+    ctx = ctx_for(k, p, phi)
+    xs = np.linspace(-5.0, 5.0, 101)
+    eps = np.finfo(float).eps
+    for slot, kind in enumerate("eac"):
+        got = psi_tilde_bound(kind, ctx, xs)
+        j = int(ctx.directions[slot])
+        for x, g in zip(xs, got):
+            want = psi_oracle(kind, k, p, phi, x, j)
+            if want == 0:
+                assert g == 0.0, (kind, x)
+                continue
+            assert abs(mp.mpf(g) / want - 1) <= 2e-15, (kind, x)
+            assert g >= want * (1 - 4 * eps), (kind, x)
 
 
 # --- control family -------------------------------------------------------
@@ -270,6 +329,23 @@ def test_psi_divergent_direction_raises():
         psi_tilde_numeric("a", ctx, 1.0, 10)
     with pytest.raises(DivergentSeriesError):
         psi_tilde_bound("e", ctx, 1.0)
+    # A critical degree under the wrong direction diverges whatever its rounded
+    # step ratio: at p = 0.75 that ratio is 1 - 2^-53, below 1.
+    expand = (Direction.EXPAND, Direction.EXPAND, Direction.EXPAND)
+    for p in (0.75, 0.5, 1.0, 0.3):
+        ctx = ctx_for(2, p, PowerBound("sum", 1.0, 1.0, 0.0), directions=expand)
+        with pytest.raises(DivergentSeriesError):
+            psi_tilde_bound("a", ctx, 1.0)
+        with pytest.raises(DivergentSeriesError):
+            psi_tilde_numeric("a", ctx, 1.0, 10)
+    ctx = ctx_for(2, 0.75, PowerBound("sum", 1.0, 1.0, 0.0), directions=expand)
+    assert series_step_ratio("a", ctx) == 0.9999999999999999
+    # One ulp above the critical degree the series converges, but its step
+    # ratio rounds to 1, so no float64 tail bound exists.
+    ctx = ctx_for(2, 0.5, PowerBound("sum", 1.0, float(np.nextafter(1.0, 2.0)), 0.0))
+    assert series_step_ratio("a", ctx) == 1.0
+    with pytest.raises(InvalidInputError, match="rounds to 1.0"):
+        psi_tilde_bound("a", ctx, 1.0)
 
 
 def test_psi_numeric_stops_at_the_last_finite_term_for_huge_k():
@@ -278,6 +354,18 @@ def test_psi_numeric_stops_at_the_last_finite_term_for_huge_k():
     ctx = ctx_for(10**11, 1.0, PowerBound("constant", 1.0))
     assert psi_tilde_numeric("e", ctx, 1.0, 64) == 1.0
     assert psi_tilde_numeric("e", ctx, 1.0, 64) <= psi_tilde_bound("e", ctx, 1.0)
+    # psi(1) underflows to 0 here, so |x|^(40p) psi(1) would lose psi(1e10) or
+    # give inf * 0: every point is summed where it is, and x = 1e100
+    # overflows at its first term with no numpy warning.
+    for p, want in ((1.0, 1e-18), (0.5, 1e-9)):
+        ctx = ctx_for(10**11, p, PowerBound("sum", 1.0, 0.0, 40.0))
+        assert psi_tilde_bound("e", ctx, 1.0) == 0.0
+        assert psi_tilde_bound("e", ctx, 1e10) == pytest.approx(want, rel=1e-14)
+        for x in (1e100, [1.0, 1e200]):
+            with pytest.raises(InvalidInputError, match="overflows float64 at term 1"):
+                psi_tilde_bound("e", ctx, x)
+            with pytest.raises(InvalidInputError, match="overflows float64 at term 1"):
+                psi_tilde_numeric("e", ctx, x, 5)
 
 
 def test_psi_numeric_rejects_bad_term_count():
@@ -302,6 +390,26 @@ def test_psi_numeric_rejects_bad_term_count():
             ):
                 with pytest.raises(InvalidInputError, match="x must be finite"):
                     call()
+
+
+def test_huge_x_scales_up_or_raises_naming_x():
+    """A homogeneous series at huge |x| is psi(1) scaled up while that is finite.
+
+    phi itself overflows at x = 1e100 under sum:4:4 (|x|^4 > 1e308), but the
+    p-th power of each term does not.  The suite turns RuntimeWarning into an
+    error, so a numpy overflow warning fails this test.
+    """
+    ctx = ctx_for(3, 0.5, PowerBound("sum", 1.0, 4.0, 4.0))
+    assert psi_tilde_bound("a", ctx, 1e100) == pytest.approx(1.0915620139099486e201, rel=1e-15)
+    assert psi_tilde_bound("a", ctx, -1e100) == psi_tilde_bound("a", ctx, 1e100)
+    for x in (1e200, [1.0, -1e200]):
+        for s in "aec":
+            with pytest.raises(InvalidInputError, match="leaves float64 at x = -?1e\\+200"):
+                psi_tilde_bound(s, ctx, x)
+    # psi^(1/p) overflows before psi does: the bound raises naming x.
+    for kind in BoundKind:
+        with pytest.raises(InvalidInputError, match="overflows at x = 1e\\+100"):
+            stability_bound(kind, ctx, [1.0, 1e100])
 
 
 # --- stability bounds -----------------------------------------------------

@@ -253,6 +253,12 @@ def test_bound_series_overflowing_at_its_first_term_exits_2(runner):
     result = invoke(runner, "bounds", "--phi", "sum:4:4", "--grid=-1e200:1e200:3")
     assert result.exit_code == 2
     assert "k = 2" in result.stderr
+    # Each series is finite at 1e100 here, but the bound psi^(1/p) is not.
+    result = invoke(
+        runner, "bounds", "--k", "3", "--p", "0.5", "--phi", "sum:4:4", "--grid=-1e100:1e100:3"
+    )
+    assert result.exit_code == 2
+    assert result.stderr == "error: full bound overflows at x = -1e+100\n"
 
 
 def test_overflowing_grid_exits_2_naming_the_pair_without_warnings(runner):
