@@ -337,12 +337,17 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
     total = None
     if len(degrees) == 1 and (psi1 := summed(np.ones(1))[0]) >= _TINY:
         with np.errstate(over="ignore", invalid="ignore"):
-            total = np.abs(flat) ** (degrees.pop() * p) * psi1
+            total = np.abs(flat) ** (min(degrees) * p) * psi1
         if np.isinf(total).any():
             bad = float(flat[np.isinf(total)][0])
             raise InvalidInputError(f"{where} leaves float64 at x = {bad!r}")
     if total is None:
         total = summed(np.abs(flat))
+    # The exact sum is positive where x != 0 or a degree is 0: a float 0 there
+    # would certify a residual of 0.
+    lost = (total == 0.0) & ((flat != 0.0) | (0.0 in degrees))
+    if lost.any():
+        raise InvalidInputError(f"{where} underflows float64 at x = {float(flat[lost][0])!r}")
     out = total.reshape(xs.shape)
     return float(out) if xs.ndim == 0 else out
 

@@ -303,8 +303,10 @@ def to_json(value):
     A dataclass becomes an object of its fields in order, keyed by json_key;
     dicts and lists are walked and arrays become nested lists.  Everything
     else (numbers, strings, None, int enums, tuples of numbers) is left for
-    json.dumps to write as it is, and is checked for first: a report is
-    mostly such leaves.
+    json.dumps to write as it is, and is checked for first.  to_json(report)
+    is a report's data; harness.report_to_json writes the same bytes as
+    json.dumps(to_json(report), indent=2) but renders the rows, nearly all
+    of a report's leaves, from a template without walking them here.
     """
     if value is None or isinstance(value, (int, float, str, tuple)):
         return value

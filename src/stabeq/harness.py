@@ -4,12 +4,14 @@ The pipeline builds a cubic+quadratic+additive polynomial with a seeded
 perturbation, calibrates the smallest power control dominating the measured
 residual on a grid, decomposes the function, and checks the recovered
 components against the full stability bound pointwise.  Reports serialize to
-CSV (ReportRow's fields as columns, 17 significant digits) and JSON (to_json);
-identical configs produce byte-identical output.
+CSV (ReportRow's fields as columns, 17 significant digits) and JSON (the bytes
+of json.dumps(to_json(report), indent=2)), each row through one %-template per
+format and dimension; identical configs produce byte-identical output.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
@@ -372,19 +374,34 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     )
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _cell(value) -> str:
-    if isinstance(value, tuple):
-        return ";".join(_fmt(v) for v in value)
-    return _fmt(value)
-
-
 _COLUMNS = [f.name for f in fields(ReportRow)]
 _row_cells = attrgetter(*_COLUMNS)
 CSV_HEADER = ",".join(_COLUMNS)
+
+
+def _leaves(row: ReportRow) -> tuple:
+    """The row's numbers in field order, each tuple field's items in place."""
+    return sum((c if isinstance(c, tuple) else (c,) for c in _row_cells(row)), ())
+
+
+def _json_number(v) -> str:
+    """A leaf as json.dumps writes it; float.__repr__ directly for a finite float."""
+    return float.__repr__(v) if type(v) is float and v - v == 0.0 else json.dumps(v)
+
+
+@functools.cache
+def _row_template(format: str, dim: int) -> str:
+    """One row as a %-template over its leaves: one slot per scalar field, dim per tuple.
+
+    CSV slots are %.17g, the bytes of format(float(v), ".17g").  JSON slots
+    are %s over _json_number, at json.dumps(indent=2)'s layout of a report row.
+    """
+    cells = [(json.dumps(json_key(f)), f.type.startswith("tuple")) for f in fields(ReportRow)]
+    if format == "csv":
+        return ",".join(";".join(["%.17g"] * dim) if vec else "%.17g" for _, vec in cells) + "\n"
+    listed = "[%s\n      ]" % ",".join(["\n        %s"] * dim) if dim else "[]"
+    items = (f"      {key}: {listed if vec else '%s'}" for key, vec in cells)
+    return "    {\n%s\n    }" % ",\n".join(items)
 
 
 def report_to_csv(report: StabilityReport) -> str:
@@ -392,13 +409,16 @@ def report_to_csv(report: StabilityReport) -> str:
 
     Vector-valued cells (codomain_dim > 1) are semicolon-joined.
     """
-    lines = [CSV_HEADER]
-    lines.extend(",".join(map(_cell, _row_cells(row))) for row in report.rows)
-    return "\n".join(lines) + "\n"
+    template = _row_template("csv", len(report.rows[0].f) if report.rows else 0)
+    return "".join([CSV_HEADER + "\n", *[template % _leaves(row) for row in report.rows]])
 
 
 def report_to_json(report: StabilityReport) -> str:
-    return json.dumps(to_json(report), indent=2) + "\n"
+    """json.dumps(to_json(report), indent=2)'s bytes and a newline; rows (key 1) by template."""
+    text = json.dumps(to_json(replace(report, rows=[])), indent=2) + "\n"
+    template = _row_template("json", len(report.rows[0].f) if report.rows else 0)
+    rows = ",\n".join([template % tuple(map(_json_number, _leaves(r))) for r in report.rows])
+    return text.replace('"rows": []', f'"rows": [\n{rows}\n  ]', 1) if rows else text
 
 
 def emit_report(report: StabilityReport, format: str) -> str:

@@ -355,17 +355,41 @@ def test_psi_numeric_stops_at_the_last_finite_term_for_huge_k():
     assert psi_tilde_numeric("e", ctx, 1.0, 64) == 1.0
     assert psi_tilde_numeric("e", ctx, 1.0, 64) <= psi_tilde_bound("e", ctx, 1.0)
     # psi(1) underflows to 0 here, so |x|^(40p) psi(1) would lose psi(1e10) or
-    # give inf * 0: every point is summed where it is, and x = 1e100
+    # give inf * 0: every point is summed where it is, x = 1 (psi about
+    # 1e-418 at p = 1) raises rather than bound by 0, and x = 1e100
     # overflows at its first term with no numpy warning.
     for p, want in ((1.0, 1e-18), (0.5, 1e-9)):
         ctx = ctx_for(10**11, p, PowerBound("sum", 1.0, 0.0, 40.0))
-        assert psi_tilde_bound("e", ctx, 1.0) == 0.0
+        with pytest.raises(InvalidInputError, match="underflows float64 at x = 1.0"):
+            psi_tilde_bound("e", ctx, 1.0)
         assert psi_tilde_bound("e", ctx, 1e10) == pytest.approx(want, rel=1e-14)
         for x in (1e100, [1.0, 1e200]):
             with pytest.raises(InvalidInputError, match="overflows float64 at term 1"):
                 psi_tilde_bound("e", ctx, x)
             with pytest.raises(InvalidInputError, match="overflows float64 at term 1"):
                 psi_tilde_numeric("e", ctx, x, 5)
+
+
+def test_a_positive_series_that_underflows_raises_and_exact_zeros_stay():
+    ctx = ctx_for(10**11, 1.0, PowerBound("sum", 1.0, 0.0, 40.0))
+    for x in (1.0, [0.0, 1.0], -1e-30):
+        with pytest.raises(InvalidInputError, match="series 'e' .* underflows float64 at x = "):
+            psi_tilde_bound("e", ctx, x)
+    with pytest.raises(InvalidInputError, match="underflows float64 at x = 1.0"):
+        psi_tilde_numeric("e", ctx, 1.0, 5)
+    # Summed once at |x| = 1, then scaled: |1e-100|^4 psi(1) underflows too.
+    homogeneous = ctx_for(2, 1.0, PowerBound("sum", 1.0, 4.0, 4.0))
+    assert psi_tilde_bound("a", homogeneous, 1.0) > 0.0
+    with pytest.raises(InvalidInputError, match="series 'a' .* at x = 1e-100"):
+        psi_tilde_bound("a", homogeneous, [1.0, 1e-100])
+    # x = 0 under a positive degree, theta = 0 and a vanishing series are
+    # exactly 0; a degree-0 control is positive at x = 0.
+    assert psi_tilde_bound("e", ctx, 0.0) == 0.0
+    assert list(psi_tilde_bound("a", homogeneous, [0.0, -0.0])) == [0.0, 0.0]
+    unit_free = ctx_for(10**11, 1.0, PowerBound("sum", 0.0, 0.0, 40.0))
+    assert psi_tilde_bound("e", unit_free, 1.0) == 0.0
+    assert psi_tilde_bound("e", ctx_for(2, 1.0, PowerBound("product", 1.0, 2.0, 2.0)), 1.0) == 0.0
+    assert psi_tilde_bound("e", ctx_for(2, 1.0, PowerBound("constant", 1.0)), 0.0) > 0.0
 
 
 def test_psi_numeric_rejects_bad_term_count():

@@ -5,7 +5,15 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from stabeq import CSV_HEADER, ExperimentConfig, to_json
+from stabeq import (
+    CSV_HEADER,
+    ExperimentConfig,
+    GridSpec,
+    NoiseSpec,
+    emit_report,
+    run_experiment,
+    to_json,
+)
 from stabeq.cli import main
 
 
@@ -154,6 +162,25 @@ def test_experiment_unwritable_out_exits_1(runner, tmp_path):
     result = invoke(runner, "experiment", "--grid", "-2:2:5", "--out", str(out))
     assert result.exit_code == 1
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("max_n, code", [(40, 0), (2, 1)])
+def test_experiment_prints_emit_report(runner, fmt, dim, max_n, code):
+    # max_n 2 leaves the noisy limits unconverged: the report fails, exit 1.
+    cfg = ExperimentConfig(
+        codomain_dim=dim,
+        noise=NoiseSpec("bounded_smooth", 0.01, 42),
+        grid=GridSpec(-3.0, 3.0, 7),
+        max_n=max_n,
+    )
+    result = invoke(
+        runner, "experiment", "--dim", str(dim), "--noise", "bounded_smooth:0.01:42",
+        "--grid=-3:3:7", "--max-n", str(max_n), "--format", fmt,
+    )
+    assert result.exit_code == code, result.stderr
+    assert result.stdout == emit_report(run_experiment(cfg), fmt)
 
 
 def test_probe_points_do_not_fail_a_converged_report(runner):

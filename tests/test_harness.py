@@ -5,9 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stabeq import (
     CSV_HEADER,
+    ConvergenceDiagnostics,
     Direction,
     EquationKind,
     EquationParams,
@@ -16,6 +19,8 @@ from stabeq import (
     InvalidInputError,
     NoiseSpec,
     PhiForm,
+    ReportRow,
+    StabilityReport,
     UnboundablePerturbationError,
     calibrate_theta,
     emit_report,
@@ -566,6 +571,68 @@ def test_to_json_writes_the_reference_report_bytes(dim):
     assert json.dumps(to_json(solution), indent=2) == json.dumps(
         reference_solution_json(solution), indent=2
     )
+
+
+# The CSV writer before rows were rendered from a template.
+def _fmt(v) -> str:
+    return format(float(v), ".17g")
+
+
+def _cell(value) -> str:
+    if isinstance(value, tuple):
+        return ";".join(_fmt(v) for v in value)
+    return _fmt(value)
+
+
+def reference_csv(report):
+    lines = [CSV_HEADER]
+    lines.extend(
+        ",".join(_cell(getattr(row, name)) for name in CSV_HEADER.split(","))
+        for row in report.rows
+    )
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = (
+    float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+)
+leaves = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(-(10**30), 10**30),
+)
+
+
+@st.composite
+def reports(draw):
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[leaves] * dim)
+    row = st.builds(ReportRow, leaves, *[vector] * 4, leaves, leaves, leaves)
+    rows = draw(st.lists(row, max_size=4))
+    last_step = st.sampled_from((0.0, 1e-17, float("inf")))
+    diag = st.builds(ConvergenceDiagnostics, st.integers(0, 60), last_step, st.booleans())
+    return StabilityReport(
+        rows=rows,
+        theta_used=draw(leaves),
+        directions=draw(st.tuples(*[st.sampled_from(Direction)] * 3)),
+        diagnostics={
+            **{name: draw(diag) for name in ("additive", "quadratic", "cubic")},
+            "quadratic_bound_zero": draw(st.booleans()),
+        },
+        passed=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports())
+@example(  # no rows; last_step inf
+    StabilityReport([], 0.5, (1, -1, 1), {"cubic": ConvergenceDiagnostics(3, np.inf, False)}, True)
+)
+def test_emitted_reports_equal_the_reference_writers(report):
+    assert emit_report(report, "json") == json.dumps(to_json(report), indent=2) + "\n"
+    assert emit_report(report, "csv") == reference_csv(report)
 
 
 def test_csv_header_and_shape():
