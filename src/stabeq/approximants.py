@@ -113,23 +113,32 @@ class IterationSpec:
         return DEFAULT_MAX_N if self.kind.odd else DEFAULT_MAX_N_QUADRATIC
 
 
-def _arguments(spec: IterationSpec, X: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """The points the n-th iterate reads f at: u = X / b^(nj), or (2u, u) for an odd kind."""
-    u = X * float(spec.kind.base(spec.params)) ** (-n * int(spec.direction))
+def _powers(base: int, exponent: float, levels: range) -> np.ndarray:
+    """base ** (exponent * n) at each level n, each power taken in Python floats."""
+    return np.array([float(base) ** (exponent * n) for n in levels])
+
+
+def _arguments(spec: IterationSpec, X: np.ndarray, levels: range) -> tuple[np.ndarray, ...]:
+    """The points each level n reads f at: u = X / b^(nj), or (2u, u) for an odd kind.
+
+    Each array is (L, N): one row per level, one column per point of X.
+    """
+    u = X * _powers(spec.kind.base(spec.params), -int(spec.direction), levels)[:, None]
     return (2.0 * u, u) if spec.kind.odd else (u,)
 
 
-def _combine(spec: IterationSpec, n: int, evals) -> tuple[np.ndarray, np.ndarray]:
-    """Value and rounding scale of the n-th iterate.
+def _combine(spec: IterationSpec, levels: range, evals) -> tuple[np.ndarray, np.ndarray]:
+    """Value and rounding scale of the iterates at levels.
 
-    evals holds f's (values, magnitude) at each of _arguments(spec, X, n).
-    Returns (values, magnitude), both shape (N, dim).  magnitude carries the
-    scaled absolute sizes of the function evaluations entering the
+    evals holds f's (values, magnitude) at each of _arguments(spec, X, levels).
+    Returns (values, magnitude), both shape (L, N, dim).  magnitude carries
+    the scaled absolute sizes of the function evaluations entering the
     combination; eps times its pnorm is the level below which Cauchy steps
     are float noise, not information about the limit.
     """
     kind = spec.kind
-    scale = float(kind.base(spec.params)) ** (kind.degree * n * int(spec.direction))
+    scale = _powers(kind.base(spec.params), kind.degree * int(spec.direction), levels)
+    scale = scale[:, None, None]
     if not kind.odd:
         ((v, m),) = evals
         return scale * v, abs(scale) * m
@@ -140,8 +149,10 @@ def _combine(spec: IterationSpec, n: int, evals) -> tuple[np.ndarray, np.ndarray
 
 def _iterate_values(spec: IterationSpec, f: FunctionHandle, X: np.ndarray, n: int):
     """_combine's (values, magnitude) of the n-th iterate at the points X."""
+    levels = range(n, n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _combine(spec, n, [f.evaluate(a) for a in _arguments(spec, X, n)])
+        vals, mag = _combine(spec, levels, [f.evaluate(a) for a in _arguments(spec, X, levels)])
+    return vals[0], mag[0]
 
 
 def iterate_quadratic(
@@ -196,6 +207,11 @@ class ConvergenceDiagnostics:
 _NOTHING_EVALUATED = ConvergenceDiagnostics(0, 0.0, True)
 
 
+# Levels per block after level 1: one f call and one stop-rule scan take
+# them all, and a point is read at most _BLOCK_LEVELS - 1 levels past its stop.
+_BLOCK_LEVELS = 6
+
+
 class _Ladder:
     """f at the arguments of every level of one iteration, each read once.
 
@@ -206,89 +222,108 @@ class _Ladder:
     An argument is reused only where it equals the earlier one bit for bit,
     so the values are those of evaluating afresh, and each level after the
     first costs one evaluation per point.  The quadratic kind reads one
-    argument per level and reuses nothing.
+    argument per level and reuses nothing.  A block of levels is read in one
+    evaluation, and its misses in one more.
     """
 
     def __init__(self, spec: IterationSpec, f: FunctionHandle, X: np.ndarray):
         self._spec, self._f, self._X = spec, f, X
         # Index into _arguments' (2u, u) of the argument each level reads anew.
         self._new = 0 if spec.direction == Direction.EXPAND else 1
-        # That argument and f's values there, per point, from the last level.
-        self._arg = self._vals = self._mag = None
+        # That argument and f's values there, per point, from the last level
+        # read; a NaN argument before level 0, which matches nothing.
+        self._arg = np.full(X.size, np.nan)
+        self._vals = np.zeros((X.size, f.space.dim))
+        self._mag = np.zeros((X.size, f.space.dim))
 
-    def level(self, n: int, idx: np.ndarray) -> list:
-        """f's (values, magnitude) at each argument of level n, at the points X[idx]."""
-        args = _arguments(self._spec, self._X[idx], n)
+    def block(self, levels: range, idx: np.ndarray) -> list:
+        """f's (values, magnitude) at each argument of levels, at the points X[idx].
+
+        Each array is (L, M, dim), for the L levels and the M points.
+        """
+        args = _arguments(self._spec, self._X[idx], levels)
         if len(args) == 1:
             return [self._f.evaluate(args[0])]
         new, old = self._new, 1 - self._new
-        evals = [None, None]
-        evals[new] = self._f.evaluate(args[new])
-        if self._arg is None:  # level 0 reads every point
-            evals[old] = self._f.evaluate(args[old])
-            self._arg = args[new]
-            self._vals, self._mag = (a.copy() for a in evals[new])
-            return evals
-        vals, mag = self._vals[idx], self._mag[idx]
+        fresh = self._f.evaluate(args[new])
+        # Each level's other argument is the one the level before read anew.
+        before = np.concatenate([self._arg[idx][None], args[new][:-1]])
+        vals, mag = (
+            np.concatenate([last[idx][None], now[:-1]])
+            for last, now in zip((self._vals, self._mag), fresh)
+        )
         # Both arguments carry x's sign, so != parts from a bitwise test only
         # at a NaN, which is then evaluated afresh.
-        miss = self._arg[idx] != args[old]
+        miss = before != args[old]
         if miss.any():
             vals[miss], mag[miss] = self._f.evaluate(args[old][miss])
+        self._arg[idx] = args[new][-1]
+        self._vals[idx], self._mag[idx] = (now[-1] for now in fresh)
+        evals = [fresh, fresh]
         evals[old] = (vals, mag)
-        self._arg[idx] = args[new]
-        self._vals[idx], self._mag[idx] = evals[new]
         return evals
 
 
 class _Limit:
-    """The Cauchy stopping rule of one iteration, over the points still active."""
+    """The Cauchy stopping rule of one iteration, a block of levels at a time."""
 
-    def __init__(self, spec: IterationSpec, space: PNormSpace, first: np.ndarray):
-        n_pts = len(first)
-        self._spec = spec
+    def __init__(self, spec: IterationSpec, space: PNormSpace, n_pts: int):
+        self.spec = spec
         self._space = space
-        self._prev = first
-        self._result = first.copy()
+        self._result = np.zeros((n_pts, space.dim))
         self._n_used = np.zeros(n_pts, dtype=int)
         self._last_step = np.zeros(n_pts)
         self._converged = np.zeros(n_pts, dtype=bool)
-        self._armed = np.zeros(n_pts, dtype=bool)  # previous step was already small
-        self._prev_step = np.full(n_pts, np.inf)
-        self.active = np.arange(n_pts)
-        self.live = np.ones(n_pts, dtype=bool)  # active as a mask
+        self.live = np.ones(n_pts, dtype=bool)  # not yet stopped
+        # What the next level reads of the last one at each live point, in
+        # index order: its iterate, whether its step was small, and that step.
+        self._carry = None
 
-    def advance(self, n: int, idx: np.ndarray, evals) -> None:
-        """Take level n, whose f-values evals were read at the points idx."""
-        space, active = self._space, self.active
-        if active.size != idx.size:  # active is a subset of idx
-            mine = self.live[idx]
-            evals = [(v[mine], m[mine]) for v, m in evals]
-        with np.errstate(over="ignore", invalid="ignore"):
-            cur, mag = _combine(self._spec, n, evals)
-        with np.errstate(invalid="ignore"):
-            step = space.pnorm(cur - self._prev[active])
+    def take(self, levels: range, idx: np.ndarray, evals) -> None:
+        """Take levels (up to the cap), whose f-values evals were read at the points idx.
+
+        Each live point stops at its first level n with ok | blown | n == cap,
+        and its result and diagnostics are that level's.  Level n is armed
+        by level n-1's small step and must not exceed it.
+        """
+        levels = levels[: self.spec.cap - levels[0] + 1]
+        evals = [(v[: len(levels)], m[: len(levels)]) for v, m in evals]
+        mine = self.live[idx]
+        if not mine.all():
+            idx = idx[mine]
+            evals = [(v[:, mine], m[:, mine]) for v, m in evals]
+        space = self._space
+        cur, mag = _combine(self.spec, levels, evals)
+        if levels[0] == 0:  # level 0 only starts the sequence
+            self._carry = cur[0], np.zeros(idx.size, dtype=bool), np.full(idx.size, np.inf)
+            cur, mag, levels = cur[1:], mag[1:], levels[1:]
+        last_cur, last_small, last_step = self._carry
+        prev = np.concatenate([last_cur[None], cur[:-1]])
+        step = space.pnorm(cur - prev)
         finite = np.isfinite(cur).all(axis=-1)
-        guard = finite[:, None]
-        tol_eff = self._spec.tol * (1.0 + space.pnorm(np.where(guard, cur, 0.0)))
-        floor = _FLOOR_SAFETY * _EPS * space.pnorm(np.where(guard, mag, 0.0))
+        # tol_eff and floor are read only where the iterate is finite.
+        tol_eff = self.spec.tol * (1.0 + space.pnorm(cur))
+        floor = _FLOOR_SAFETY * _EPS * space.pnorm(mag)
         small = finite & (step <= np.maximum(tol_eff, floor))
-        confirmed = self._armed[active] & (step <= self._prev_step[active])
-        ok = small & (confirmed | (step <= floor))
-        blown = ~finite
-
-        self._result[active[finite]] = cur[finite]
-        self._n_used[active] = n
-        self._last_step[active[finite]] = step[finite]
-        self._last_step[active[blown]] = np.inf
-        self._converged[active[ok]] = True
-        self._armed[active] = small
-        self._prev_step[active] = step
-
-        keep = ~(ok | blown) & (n < self._spec.cap)
-        self.live[active[~keep]] = False
-        self.active = active[keep]
-        self._prev[self.active] = cur[keep]
+        armed = np.concatenate([last_small[None], small[:-1]])
+        prev_step = np.concatenate([last_step[None], step[:-1]])
+        ok = small & ((armed & (step <= prev_step)) | (step <= floor))
+        stop = ok | ~finite
+        if levels[-1] == self.spec.cap:
+            stop[-1] = True
+        done = stop.any(axis=0)
+        going = ~done
+        self._carry = cur[-1][going], small[-1][going], step[-1][going]
+        if not done.any():
+            return
+        self.live[idx[done]] = False
+        at = (stop.argmax(axis=0)[done], np.flatnonzero(done))
+        pts = idx[done]
+        kept = finite[at]  # a blown point keeps its last finite iterate, the one before
+        self._result[pts] = np.where(kept[:, None], cur[at], prev[at])
+        self._n_used[pts] = levels[0] + at[0]
+        self._last_step[pts] = np.where(kept, step[at], np.inf)
+        self._converged[pts] = ok[at]
 
     def finish(self, xs: np.ndarray) -> tuple[np.ndarray, ConvergenceDiagnostics]:
         diag = ConvergenceDiagnostics(
@@ -326,9 +361,16 @@ def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandl
     accurate iterate float64 can represent and reports that as converged;
     last_step records the accuracy actually achieved.
 
+    Levels are taken in blocks: levels 0 and 1, then _BLOCK_LEVELS at a
+    time.  Each block reads f at every level's arguments
+    for the points still live in one evaluation, and applies the stopping
+    rule to the whole block as one scan along the level axis.  Each level's
+    arithmetic is that of taking it alone, so values and diagnostics are
+    too; a point may be read up to _BLOCK_LEVELS - 1 levels past its stop.
+
     spec may also be a tuple of odd-kind specs with one direction (A's and
-    C's).  They then run on one _Ladder: each level's f-values serve every
-    spec still active at the point, and a tuple of (values, diagnostics)
+    C's).  They then run on one _Ladder: each block's f-values serve every
+    spec still live at the point, and a tuple of (values, diagnostics)
     pairs comes back, each bitwise equal to that spec's own take_limit.
     """
     specs = spec if isinstance(spec, tuple) else (spec,)
@@ -339,19 +381,16 @@ def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandl
     xs = np.asarray(x, dtype=float)
     X = xs.reshape(-1)
     ladder = _Ladder(specs[0], f, X)
-    everyone = np.arange(X.size)
+    limits = [_Limit(s, f.space, X.size) for s in specs]
+    lo, hi = 0, 1  # level 1 alone: exact solutions stop there
     with np.errstate(over="ignore", invalid="ignore"):
-        first = ladder.level(0, everyone)
-        limits = [_Limit(s, f.space, _combine(s, 0, first)[0]) for s in specs]
-    for n in range(1, max(s.cap for s in specs) + 1):
-        live = [lim for lim in limits if lim.active.size]
-        if not live:
-            break
-        idx = everyone[functools.reduce(np.logical_or, (lim.live for lim in live))]
-        with np.errstate(over="ignore", invalid="ignore"):
-            evals = ladder.level(n, idx)
-        for lim in live:
-            lim.advance(n, idx, evals)
+        while live := [lim for lim in limits if lim.live.any()]:
+            levels = range(lo, min(hi, max(lim.spec.cap for lim in live)) + 1)
+            idx = np.flatnonzero(functools.reduce(np.logical_or, (lim.live for lim in live)))
+            evals = ladder.block(levels, idx)
+            for lim in live:
+                lim.take(levels, idx, evals)
+            lo, hi = hi + 1, hi + _BLOCK_LEVELS
     out = tuple(lim.finish(xs) for lim in limits)
     return out if isinstance(spec, tuple) else out[0]
 

@@ -241,6 +241,8 @@ def difference_operator(f: FunctionHandle, params: EquationParams, x, y) -> np.n
 class _ParityPart(FunctionHandle):
     """Even or odd part of a handle, from one f(x), f(-x) pair per point.
 
+    Both halves come from one evaluation of the whole handle at [x; -x].
+
     Its magnitude is the half-sum of those of f(x) and f(-x): where the
     other parity dominates, the part is a small difference of large values,
     and its rounding scale is that of the halves, not of the result.
@@ -255,10 +257,11 @@ class _ParityPart(FunctionHandle):
         self.offset = np.zeros(whole.space.dim)
 
     def _eval(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        plus, plus_mag = self._whole._eval(xs)
-        minus, minus_mag = self._whole._eval(-xs)
+        n = xs.size
+        vals, mag = self._whole._eval(np.concatenate([xs, -xs]))
+        plus, minus = vals[:n], vals[n:]
         part = 0.5 * (plus - minus) if self._odd else 0.5 * (plus + minus)
-        return part - self.offset, 0.5 * (plus_mag + minus_mag)
+        return part - self.offset, 0.5 * (mag[:n] + mag[n:])
 
 
 def parity_split(f: FunctionHandle) -> tuple[FunctionHandle, FunctionHandle]:

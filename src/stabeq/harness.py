@@ -376,6 +376,7 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
 
 _COLUMNS = [f.name for f in fields(ReportRow)]
 _row_cells = attrgetter(*_COLUMNS)
+_vector_cells = attrgetter(*[f.name for f in fields(ReportRow) if f.type.startswith("tuple")])
 CSV_HEADER = ",".join(_COLUMNS)
 
 
@@ -404,19 +405,32 @@ def _row_template(format: str, dim: int) -> str:
     return "    {\n%s\n    }" % ",\n".join(items)
 
 
+def _rows_dim(rows: list[ReportRow]) -> int:
+    """The dimension of row 0's f, 0 without rows; raises at a row whose vectors differ from it."""
+    dim = len(rows[0].f) if rows else 0
+    for i, row in enumerate(rows):
+        for cell in _vector_cells(row):
+            if len(cell) != dim:
+                raise InvalidInputError(
+                    f"report row {i} has a vector of dimension {len(cell)}, "
+                    f"row 0 has dimension {dim}"
+                )
+    return dim
+
+
 def report_to_csv(report: StabilityReport) -> str:
     """ReportRow's fields as columns, 17 significant digits, one row per point.
 
     Vector-valued cells (codomain_dim > 1) are semicolon-joined.
     """
-    template = _row_template("csv", len(report.rows[0].f) if report.rows else 0)
+    template = _row_template("csv", _rows_dim(report.rows))
     return "".join([CSV_HEADER + "\n", *[template % _leaves(row) for row in report.rows]])
 
 
 def report_to_json(report: StabilityReport) -> str:
     """json.dumps(to_json(report), indent=2)'s bytes and a newline; rows (key 1) by template."""
     text = json.dumps(to_json(replace(report, rows=[])), indent=2) + "\n"
-    template = _row_template("json", len(report.rows[0].f) if report.rows else 0)
+    template = _row_template("json", _rows_dim(report.rows))
     rows = ",\n".join([template % tuple(map(_json_number, _leaves(r))) for r in report.rows])
     return text.replace('"rows": []', f'"rows": [\n{rows}\n  ]', 1) if rows else text
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabeq import (
@@ -471,6 +471,60 @@ def test_shared_ladder_equals_separate_and_fresh_limits_bitwise(case):
         assert all(d.last_step == np.inf for d in diags)
 
 
+# Caps on both sides of the block boundaries: levels 0-1, 2-7, 8-13, ...
+CAPS = st.sampled_from((1, 2, 5, 6, 7, 8, 13, 14, 30, 48)) | st.integers(1, 48)
+# Zeros, subnormals, and points whose iterates overflow: at level 0 (1e100),
+# or, for Q under a quartic power_scaled noise, some levels on (1e70).
+POINTS = st.lists(
+    st.sampled_from((0.0, -0.0, 5e-324, 1e-310, -2e-310, 2.2250738585072014e-308, 1e70, -1e100))
+    | st.floats(-50.0, 50.0),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    direction=st.sampled_from(Direction),
+    odd=st.booleans(),
+    k=st.sampled_from((2, 3, -2)),
+    dim=st.sampled_from((1, 3)),
+    p=st.sampled_from((1.0, 0.5)),
+    noise=st.sampled_from(("bounded_smooth", "power_scaled")),
+    amplitude=st.sampled_from((0.0, 0.01, 0.5)),
+    phi=st.sampled_from((PhiForm(), PhiForm("sum", 4.0, 4.0))),
+    caps=st.tuples(CAPS, CAPS),
+    points=POINTS,
+)
+@example(  # Q at x = 1e70 blows up at level 24 and keeps its level-23 iterate
+    direction=Direction.EXPAND, odd=False, k=2, dim=1, p=1.0, noise="power_scaled",
+    amplitude=0.01, phi=PhiForm("sum", 4.0, 4.0), caps=(30, 30), points=[1.0, 1e70],
+)
+@example(  # A and C run past level 8, so steps are compared across block edges
+    direction=Direction.EXPAND, odd=True, k=2, dim=1, p=1.0, noise="bounded_smooth",
+    amplitude=0.01, phi=PhiForm(), caps=(48, 48), points=np.linspace(-5, 5, 12).tolist(),
+)
+def test_chunked_limits_equal_the_level_by_level_reference(
+    direction, odd, k, dim, p, noise, amplitude, phi, caps, points
+):
+    poly = ([1, 2, -1], 0.5, [1, -3, 2]) if dim == 3 else (1.0, 1.0, 1.0)
+    cfg = ExperimentConfig(
+        k=k, p=p, codomain_dim=dim, poly=poly, phi_form=phi, noise=NoiseSpec(noise, amplitude, 5)
+    )
+    base = parity_split(make_test_function(cfg))[int(odd)]
+    xs = np.array(points)
+    kinds = (IterKind.ADDITIVE, IterKind.CUBIC) if odd else (IterKind.QUADRATIC,)
+    specs = tuple(
+        IterationSpec(kind, direction, EquationParams(k), max_n=cap)
+        for kind, cap in zip(kinds, caps)
+    )
+    got = take_limit(specs, base, xs) if odd else (take_limit(specs[0], base, xs),)
+    for spec, (vals, diag) in zip(specs, got):
+        fresh, fresh_diag = take_limit_reference(spec, base, xs)
+        assert same_bits(vals, fresh)
+        assert repr(diag) == repr(fresh_diag)  # last_step may be NaN
+
+
 def test_shared_ladder_reads_each_argument_once_on_expand():
     f = make_test_function(ExperimentConfig(noise=BOUNDED))
     seen = []
@@ -489,8 +543,15 @@ def test_shared_ladder_reads_each_argument_once_on_expand():
     assert len(set(last)) > 1
     seen.clear()
     take_limit(specs, odd, xs)
-    # Two odd-part values (four base evaluations) at level 0, one per level after.
-    assert sum(seen) == sum(2 * (n + 2) for n in last)
+    # Two odd-part values (four base evaluations) at level 0, one per level
+    # after, up to the end of the block holding n: levels 0-1, then blocks of
+    # _BLOCK_LEVELS, the last cut at the cap.
+    size = approximants._BLOCK_LEVELS
+
+    def end(n):
+        return 1 if n == 1 else min(48, 1 + size * -(-(n - 1) // size))
+
+    assert sum(seen) == sum(2 * (end(n) + 2) for n in last)
 
 
 def test_take_limit_shares_a_ladder_only_between_odd_kinds_of_one_direction():

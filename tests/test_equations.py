@@ -119,7 +119,7 @@ def test_parity_evaluate_makes_two_base_evaluations_per_point():
     for part in parity_split(f):
         seen.clear()
         vals, _ = part.evaluate(xs)
-        assert sum(seen) == 2 * xs.size
+        assert seen == [2 * xs.size]  # f(x) and f(-x) from one call
         assert np.array_equal(vals, part(xs))
 
 

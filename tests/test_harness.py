@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -633,6 +634,22 @@ def reports(draw):
 def test_emitted_reports_equal_the_reference_writers(report):
     assert emit_report(report, "json") == json.dumps(to_json(report), indent=2) + "\n"
     assert emit_report(report, "csv") == reference_csv(report)
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_rows_of_unequal_dimension_raise(format):
+    report = run_experiment(ExperimentConfig(codomain_dim=2, grid=GridSpec(-2.0, 2.0, 5)))
+    rows = report.rows
+    rows[3] = replace(rows[3], f=rows[3].f[:1])
+    ragged = "report row 3 has a vector of dimension 1, row 0 has dimension 2"
+    with pytest.raises(InvalidInputError, match=ragged):
+        emit_report(report, format)
+    rows[1] = replace(rows[1], C=rows[1].C + (0.0,))  # an earlier ragged row is named first
+    with pytest.raises(InvalidInputError, match="report row 1 has a vector of dimension 3"):
+        emit_report(report, format)
+    rows[0] = replace(rows[0], A=rows[0].A[:1])  # row 0's vectors are checked against its f
+    with pytest.raises(InvalidInputError, match="report row 0 has a vector of dimension 1"):
+        emit_report(report, format)
 
 
 def test_csv_header_and_shape():
