@@ -11,7 +11,9 @@ with direction j = +1 (arguments contract) or j = -1 (arguments expand).
 Each is one row of IterKind: a component of degree d iterates with base b
 (k for the even part, 2 for the odd one), reads f at x / b^(nj), weighs by
 b^(dnj), and an odd component combines f(2x) - 2^(4-d) f(x), whose limit is
-(2^d - 2^(4-d)) times the component.
+(2^d - 2^(4-d)) times the component.  Every iterate reads f on one geometric
+sequence of rungs x * b^(-mj), each rounded once: level n reads rung n, and
+an odd kind's 2u is rung n - j.
 Limits are taken with a Cauchy stopping rule floored at the rounding scale
 of the iterate, so an expanding iteration stops at the best accuracy float64
 supports instead of chasing cancellation noise; a non-finite iterate marks
@@ -21,6 +23,7 @@ the point diverged and keeps the last finite value rather than raising.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -99,8 +102,8 @@ class IterationSpec:
     def __post_init__(self) -> None:
         if not self.kind.odd and self.params is None:
             raise InvalidInputError("quadratic iteration requires EquationParams")
-        if self.tol < 0:
-            raise InvalidInputError(f"tol must be nonnegative, got {self.tol!r}")
+        if not (0.0 <= self.tol < np.inf):
+            raise InvalidInputError(f"tol must be finite and >= 0, got {self.tol!r}")
         if self.max_n is not None:
             check_integer("max_n", self.max_n)
             if self.max_n < 1:
@@ -114,61 +117,74 @@ class IterationSpec:
 
 
 def _powers(base: int, exponent: float, levels: range) -> np.ndarray:
-    """base ** (exponent * n) at each level n, each power taken in Python floats."""
-    return np.array([float(base) ** (exponent * n) for n in levels])
+    """base ** (exponent * n) at each level n, each power taken in Python floats.
 
-
-def _arguments(spec: IterationSpec, X: np.ndarray, levels: range) -> tuple[np.ndarray, ...]:
-    """The points each level n reads f at: u = X / b^(nj), or (2u, u) for an odd kind.
-
-    Each array is (L, N): one row per level, one column per point of X.
+    A power past float64's range is inf, signed as the power (numpy's overflow).
     """
-    u = X * _powers(spec.kind.base(spec.params), -int(spec.direction), levels)[:, None]
-    return (2.0 * u, u) if spec.kind.odd else (u,)
+
+    def power(e: float) -> float:
+        try:
+            return float(base) ** e
+        except OverflowError:
+            return math.copysign(math.inf, base) if e % 2 == 1 else math.inf
+
+    return np.array([power(exponent * n) for n in levels])
 
 
-def _combine(spec: IterationSpec, levels: range, evals) -> tuple[np.ndarray, np.ndarray]:
-    """Value and rounding scale of the iterates at levels.
+def _rungs(spec: IterationSpec, levels: range) -> range:
+    """The rungs levels read: rung n at level n, and rung n - j too for an odd kind."""
+    j = int(spec.direction) if spec.kind.odd else 0
+    return range(levels[0] - max(j, 0), levels[-1] - min(j, 0) + 1)
 
-    evals holds f's (values, magnitude) at each of _arguments(spec, X, levels).
+
+def _points(spec: IterationSpec, X: np.ndarray, rungs: range) -> np.ndarray:
+    """Rung m of each x in X, x * b^(-mj) rounded once: (R, N), one row per rung."""
+    return X * _powers(spec.kind.base(spec.params), -int(spec.direction), rungs)[:, None]
+
+
+def _combine(spec: IterationSpec, levels: range, rungs: range, vals, mag):
+    """Value and rounding scale of the iterates at levels, from f's (vals, mag) at rungs.
+
+    Level n reads its u at rung n, and an odd kind's 2u at rung n - j.
     Returns (values, magnitude), both shape (L, N, dim).  magnitude carries
     the scaled absolute sizes of the function evaluations entering the
     combination; eps times its pnorm is the level below which Cauchy steps
     are float noise, not information about the limit.
     """
-    kind = spec.kind
-    scale = _powers(kind.base(spec.params), kind.degree * int(spec.direction), levels)
-    scale = scale[:, None, None]
+    kind, j = spec.kind, int(spec.direction)
+    scale = _powers(kind.base(spec.params), kind.degree * j, levels)[:, None, None]
+    first = levels[0] - rungs[0]  # the row of levels[0]'s u
+    at = slice(first, first + len(levels))
     if not kind.odd:
-        ((v, m),) = evals
-        return scale * v, abs(scale) * m
-    (v2, m2), (v1, m1) = evals
+        return scale * vals[at], abs(scale) * mag[at]
+    two = slice(first - j, first - j + len(levels))
     c = 2.0 ** (4.0 - kind.degree)
-    return scale * (v2 - c * v1), abs(scale) * (m2 + c * m1)
+    return scale * (vals[two] - c * vals[at]), abs(scale) * (mag[two] + c * mag[at])
 
 
 def _iterate_values(spec: IterationSpec, f: FunctionHandle, X: np.ndarray, n: int):
     """_combine's (values, magnitude) of the n-th iterate at the points X."""
     levels = range(n, n + 1)
+    rungs = _rungs(spec, levels)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, mag = _combine(spec, levels, [f.evaluate(a) for a in _arguments(spec, X, levels)])
+        vals, mag = _combine(spec, levels, rungs, *f.evaluate(_points(spec, X, rungs)))
     return vals[0], mag[0]
 
 
 def iterate_quadratic(
     f: FunctionHandle, params: EquationParams, direction: Direction, x, n: int
 ) -> np.ndarray:
-    """k^(2nj) f(x / k^(nj))."""
+    """k^(2nj) f(u): u = x / k^(nj) is rung n, rounded once."""
     return _dispatch_iterate(IterationSpec(IterKind.QUADRATIC, direction, params), f, x, n)
 
 
 def iterate_additive(f: FunctionHandle, direction: Direction, x, n: int) -> np.ndarray:
-    """2^(nj) g(x / 2^(nj)) with g(x) = f(2x) - 8 f(x)."""
+    """2^(nj) g(u), g(u) = f(2u) - 8 f(u): u and 2u are rungs n and n - j, each rounded once."""
     return _dispatch_iterate(IterationSpec(IterKind.ADDITIVE, direction), f, x, n)
 
 
 def iterate_cubic(f: FunctionHandle, direction: Direction, x, n: int) -> np.ndarray:
-    """8^(nj) h(x / 2^(nj)) with h(x) = f(2x) - 2 f(x)."""
+    """8^(nj) h(u), h(u) = f(2u) - 2 f(u): u and 2u are rungs n and n - j, each rounded once."""
     return _dispatch_iterate(IterationSpec(IterKind.CUBIC, direction), f, x, n)
 
 
@@ -213,55 +229,36 @@ _BLOCK_LEVELS = 6
 
 
 class _Ladder:
-    """f at the arguments of every level of one iteration, each read once.
+    """f at the rungs of one iteration, each rung read once per point.
 
-    Level n of the odd kinds reads f at 2u and u, u = x / 2^(nj), and one of
-    the two is the argument level n-1 read anew.  On EXPAND, u is the last
-    level's 2u; doubling is exact, so it is always reused.  On CONTRACT, 2u
-    is the last level's u except where x / 2^n rounded in the subnormals.
-    An argument is reused only where it equals the earlier one bit for bit,
-    so the values are those of evaluating afresh, and each level after the
-    first costs one evaluation per point.  The quadratic kind reads one
-    argument per level and reuses nothing.  A block of levels is read in one
-    evaluation, and its misses in one more.
+    Rung m of a point x is x * b^(-mj), rounded once.  Level n of the
+    quadratic kind reads rung n; level n of an odd kind reads rungs n - j
+    (its 2u) and n (its u).  So a block of odd levels starts on the rung the
+    block before ended on, in either direction, and carries its values over;
+    a block of Q's levels shares no rung with the one before.  Each block
+    evaluates the rungs it has not seen in one call.
     """
 
     def __init__(self, spec: IterationSpec, f: FunctionHandle, X: np.ndarray):
         self._spec, self._f, self._X = spec, f, X
-        # Index into _arguments' (2u, u) of the argument each level reads anew.
-        self._new = 0 if spec.direction == Direction.EXPAND else 1
-        # That argument and f's values there, per point, from the last level
-        # read; a NaN argument before level 0, which matches nothing.
-        self._arg = np.full(X.size, np.nan)
+        self._last = None  # the last rung read, and f's values there per point
         self._vals = np.zeros((X.size, f.space.dim))
         self._mag = np.zeros((X.size, f.space.dim))
 
-    def block(self, levels: range, idx: np.ndarray) -> list:
-        """f's (values, magnitude) at each argument of levels, at the points X[idx].
+    def block(self, levels: range, idx: np.ndarray):
+        """(rungs, values, magnitude): f at the rungs levels read, at the points X[idx].
 
-        Each array is (L, M, dim), for the L levels and the M points.
+        values and magnitude are (R, M, dim), for the R rungs and the M points.
         """
-        args = _arguments(self._spec, self._X[idx], levels)
-        if len(args) == 1:
-            return [self._f.evaluate(args[0])]
-        new, old = self._new, 1 - self._new
-        fresh = self._f.evaluate(args[new])
-        # Each level's other argument is the one the level before read anew.
-        before = np.concatenate([self._arg[idx][None], args[new][:-1]])
-        vals, mag = (
-            np.concatenate([last[idx][None], now[:-1]])
-            for last, now in zip((self._vals, self._mag), fresh)
-        )
-        # Both arguments carry x's sign, so != parts from a bitwise test only
-        # at a NaN, which is then evaluated afresh.
-        miss = before != args[old]
-        if miss.any():
-            vals[miss], mag[miss] = self._f.evaluate(args[old][miss])
-        self._arg[idx] = args[new][-1]
-        self._vals[idx], self._mag[idx] = (now[-1] for now in fresh)
-        evals = [fresh, fresh]
-        evals[old] = (vals, mag)
-        return evals
+        rungs = _rungs(self._spec, levels)
+        carried = int(rungs[0] == self._last)
+        vals, mag = self._f.evaluate(_points(self._spec, self._X[idx], rungs[carried:]))
+        if carried:
+            vals = np.concatenate([self._vals[idx][None], vals])
+            mag = np.concatenate([self._mag[idx][None], mag])
+        self._last = rungs[-1]
+        self._vals[idx], self._mag[idx] = vals[-1], mag[-1]
+        return rungs, vals, mag
 
 
 class _Limit:
@@ -279,21 +276,20 @@ class _Limit:
         # index order: its iterate, whether its step was small, and that step.
         self._carry = None
 
-    def take(self, levels: range, idx: np.ndarray, evals) -> None:
-        """Take levels (up to the cap), whose f-values evals were read at the points idx.
+    def take(self, levels: range, idx: np.ndarray, rungs: range, vals, mag) -> None:
+        """Take levels (up to the cap) from f's (vals, mag) at rungs, read at the points idx.
 
         Each live point stops at its first level n with ok | blown | n == cap,
         and its result and diagnostics are that level's.  Level n is armed
         by level n-1's small step and must not exceed it.
         """
         levels = levels[: self.spec.cap - levels[0] + 1]
-        evals = [(v[: len(levels)], m[: len(levels)]) for v, m in evals]
         mine = self.live[idx]
         if not mine.all():
             idx = idx[mine]
-            evals = [(v[:, mine], m[:, mine]) for v, m in evals]
+            vals, mag = vals[:, mine], mag[:, mine]
         space = self._space
-        cur, mag = _combine(self.spec, levels, evals)
+        cur, mag = _combine(self.spec, levels, rungs, vals, mag)
         if levels[0] == 0:  # level 0 only starts the sequence
             self._carry = cur[0], np.zeros(idx.size, dtype=bool), np.full(idx.size, np.inf)
             cur, mag, levels = cur[1:], mag[1:], levels[1:]
@@ -362,16 +358,17 @@ def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandl
     last_step records the accuracy actually achieved.
 
     Levels are taken in blocks: levels 0 and 1, then _BLOCK_LEVELS at a
-    time.  Each block reads f at every level's arguments
-    for the points still live in one evaluation, and applies the stopping
-    rule to the whole block as one scan along the level axis.  Each level's
+    time.  Each block reads f at the rungs its levels read (see _Ladder) for
+    the points still live in one evaluation, and applies the stopping rule
+    to the whole block as one scan along the level axis.  Each level's
     arithmetic is that of taking it alone, so values and diagnostics are
     too; a point may be read up to _BLOCK_LEVELS - 1 levels past its stop.
 
     spec may also be a tuple of odd-kind specs with one direction (A's and
-    C's).  They then run on one _Ladder: each block's f-values serve every
-    spec still live at the point, and a tuple of (values, diagnostics)
-    pairs comes back, each bitwise equal to that spec's own take_limit.
+    C's).  They read the same rungs, so they run on one _Ladder: each
+    block's f-values serve every spec still live at the point, and a tuple
+    of (values, diagnostics) pairs comes back, each bitwise equal to that
+    spec's own take_limit.
     """
     specs = spec if isinstance(spec, tuple) else (spec,)
     if not specs or len(specs) > 1 and any(
@@ -387,9 +384,9 @@ def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandl
         while live := [lim for lim in limits if lim.live.any()]:
             levels = range(lo, min(hi, max(lim.spec.cap for lim in live)) + 1)
             idx = np.flatnonzero(functools.reduce(np.logical_or, (lim.live for lim in live)))
-            evals = ladder.block(levels, idx)
+            block = ladder.block(levels, idx)
             for lim in live:
-                lim.take(levels, idx, evals)
+                lim.take(levels, idx, *block)
             lo, hi = hi + 1, hi + _BLOCK_LEVELS
     out = tuple(lim.finish(xs) for lim in limits)
     return out if isinstance(spec, tuple) else out[0]

@@ -346,8 +346,8 @@ def verify_solution(
     float64 on the grid gets a NaN or infinite max_residual, which fails.
     """
     blocks = pair_blocks(grid)
-    if tol < 0:
-        raise InvalidInputError(f"tol must be nonnegative, got {tol!r}")
+    if not (0.0 <= tol < np.inf):
+        raise InvalidInputError(f"tol must be finite and >= 0, got {tol!r}")
     kind = EquationKind.general_mixed(params)
     max_residual, argmax_point, scale = -np.inf, None, -np.inf
     for X, Y in blocks:

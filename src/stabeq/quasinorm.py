@@ -45,17 +45,19 @@ class PNormSpace:
         the sums stay arrays until the root is taken (numpy's scalar power
         can round differently), so a vector gets one norm whatever the
         memory layout of its array and whether it comes alone or in a batch.
+        At p = 1 both powers are the identity and are skipped.
         """
         v = np.asarray(v, dtype=float)
         if v.shape[-1] != self.dim:
             raise InvalidInputError(
                 f"vector has {v.shape[-1]} components, space has dim {self.dim}"
             )
-        powers = np.abs(v) ** self.p
+        l1 = self.p == 1
+        powers = np.abs(v) if l1 else np.abs(v) ** self.p
         total = powers[..., :1]
         for i in range(1, self.dim):
             total = total + powers[..., i : i + 1]
-        out = (total ** (1.0 / self.p))[..., 0]
+        out = (total if l1 else total ** (1.0 / self.p))[..., 0]
         return float(out) if out.ndim == 0 else out
 
 

@@ -1,5 +1,7 @@
 """Scaled iterations, Cauchy limits, and the component decomposition."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -80,6 +82,21 @@ def test_iterate_rejects_negative_n():
         iterate_additive(handle(lambda xs: xs), Direction.CONTRACT, 1.0, -1)
 
 
+@pytest.mark.parametrize("iterate", [iterate_additive, iterate_cubic])
+def test_contracting_odd_iterates_read_each_rung_rounded_once(iterate):
+    """Level n reads x / 2^(n-1) and x / 2^n, each rounded once, in the subnormals too."""
+    seen = []
+    f = handle(lambda xs: seen.append(xs.copy()) or xs)
+    tiny = 5e-324
+    xs = np.array([7 * tiny, -3 * tiny, 1e-310, -2.2250738585072014e-308, 0.7])
+    for n in (1, 2, 5, 9):
+        seen.clear()
+        iterate(f, Direction.CONTRACT, xs, n)
+        want = [float(Fraction(x) / 2 ** (n - 1)) for x in xs]
+        want += [float(Fraction(x) / 2**n) for x in xs]
+        assert sorted(np.concatenate(seen).tolist()) == sorted(want)
+
+
 def test_iteration_spec_validation():
     with pytest.raises(InvalidInputError):
         IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT)  # params missing
@@ -89,6 +106,9 @@ def test_iteration_spec_validation():
         IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, max_n=0)
     with pytest.raises(InvalidInputError, match="max_n must be an integer"):
         IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, max_n=2.5)
+    for tol in (np.inf, np.nan):
+        with pytest.raises(InvalidInputError, match="tol must be finite"):
+            IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, tol=tol)
     assert IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT).cap == 48
     assert IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, params=K2).cap == 30
     assert IterationSpec(IterKind.CUBIC, Direction.EXPAND, max_n=5).cap == 5
@@ -121,6 +141,27 @@ def test_take_limit_contract_matches_taylor_oracle():
     vals_c, diag_c = take_limit(IterationSpec(IterKind.CUBIC, Direction.CONTRACT), f, xs)
     assert np.max(np.abs(vals_c[:, 0] - 5.99 * xs**3)) < 1e-6
     assert diag_c.converged
+
+
+def test_powers_past_float64_are_signed_infinities():
+    big = 10**11
+    assert approximants._powers(big, 2.0, range(16)).tolist() == [
+        *(float(big) ** (2.0 * n) for n in range(15)),
+        np.inf,
+    ]
+    assert approximants._powers(-big, 1.0, range(28, 31)).tolist() == [1e308, -np.inf, np.inf]
+
+
+def test_quadratic_limit_blows_up_where_its_weight_leaves_float64():
+    """k^(2n) passes float64's range at n = 15 for k = 1e11: the points blow up there."""
+    even, _ = parity_split(FunctionHandle(lambda x: np.sqrt(np.abs(x)), SPACE1))
+    xs = np.array([0.7, 1.3])
+    spec = IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, EquationParams(10**11))
+    vals, diag = take_limit(spec, even, xs)
+    assert diag == ConvergenceDiagnostics(n_used=15, last_step=np.inf, converged=False)
+    assert same_bits(vals, _iterate_values(spec, even, xs, 14)[0])  # the last finite iterate
+    spec3 = IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, EquationParams(3))
+    assert not take_limit(spec3, even, xs)[1].converged
 
 
 def test_take_limit_expand_sees_asymptotic_coefficients():
@@ -440,8 +481,8 @@ LADDER_CASES = {
         (48, 48),
         np.array([-2.0, 0.5, 3.0]),
     ),
-    # Contracting x / 2^n rounds in the subnormals, where 2 (x / 2^n) is not
-    # x / 2^(n-1): a level's argument may be reused only where it is.
+    # The contracting rungs x / 2^m round in the subnormals, where 2 (x / 2^n)
+    # is not x / 2^(n-1): each level reads both as rungs, each rounded once.
     "contract-subnormal": (
         odd_part(noise=POWER, k=3, p=0.5, phi_form=PhiForm("sum", 4.0, 4.0)),
         Direction.CONTRACT,
@@ -525,7 +566,8 @@ def test_chunked_limits_equal_the_level_by_level_reference(
         assert repr(diag) == repr(fresh_diag)  # last_step may be NaN
 
 
-def test_shared_ladder_reads_each_argument_once_on_expand():
+@pytest.mark.parametrize("direction", Direction, ids=lambda d: d.name)
+def test_shared_ladder_reads_each_rung_once(direction):
     f = make_test_function(ExperimentConfig(noise=BOUNDED))
     seen = []
 
@@ -535,23 +577,25 @@ def test_shared_ladder_reads_each_argument_once_on_expand():
 
     _, odd = parity_split(FunctionHandle(counted, f.space))
     xs = np.linspace(-5, 5, 21)
-    specs = tuple(
-        IterationSpec(kind, Direction.EXPAND) for kind in (IterKind.ADDITIVE, IterKind.CUBIC)
-    )
+    if direction == Direction.CONTRACT:  # rungs that round in the subnormals
+        xs = np.concatenate([xs, [7 * 5e-324, -1e-310, 2.2250738585072014e-308]])
+    specs = tuple(IterationSpec(kind, direction) for kind in (IterKind.ADDITIVE, IterKind.CUBIC))
     # n is the last level a point reaches in A or C, from one-point limits.
     last = [max(take_limit(spec, odd, np.array([x]))[1].n_used for spec in specs) for x in xs]
     assert len(set(last)) > 1
     seen.clear()
     take_limit(specs, odd, xs)
-    # Two odd-part values (four base evaluations) at level 0, one per level
-    # after, up to the end of the block holding n: levels 0-1, then blocks of
-    # _BLOCK_LEVELS, the last cut at the cap.
+    # Three rungs at levels 0-1 and one per level after, up to the end of
+    # the block holding n: levels 0-1, then blocks of _BLOCK_LEVELS, the last
+    # cut at the cap.  A rung is one odd-part value, two base evaluations.
     size = approximants._BLOCK_LEVELS
 
     def end(n):
         return 1 if n == 1 else min(48, 1 + size * -(-(n - 1) // size))
 
     assert sum(seen) == sum(2 * (end(n) + 2) for n in last)
+    # One base-map call per block.
+    assert len(seen) == 1 + -(-(max(last) - 1) // size)
 
 
 def test_take_limit_shares_a_ladder_only_between_odd_kinds_of_one_direction():

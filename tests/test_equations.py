@@ -406,5 +406,6 @@ def test_verify_solution_validation():
         verify_solution(f, EquationParams(2), np.zeros((0, 2)), 1e-9)
     with pytest.raises(InvalidInputError):
         verify_solution(f, EquationParams(2), np.zeros((4, 3)), 1e-9)
-    with pytest.raises(InvalidInputError):
-        verify_solution(f, EquationParams(2), grid_pairs(5), -1.0)
+    for tol in (-1.0, np.inf, np.nan):
+        with pytest.raises(InvalidInputError):
+            verify_solution(f, EquationParams(2), grid_pairs(5), tol)

@@ -32,6 +32,19 @@ def test_pnorm_shapes_and_types():
     assert scalar == 1.0
 
 
+@pytest.mark.parametrize("dim", [1, 4, 9])
+def test_pnorm_at_p1_is_the_index_order_l1_sum_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    v = rng.choice([-1.0, 1.0], (40, dim)) * 10.0 ** rng.uniform(-300, 300, (40, dim))
+    v.flat[:5] = [np.inf, -np.inf, np.nan, -0.0, 0.0]
+    total = np.abs(v[:, 0])
+    for i in range(1, dim):
+        total = total + np.abs(v[:, i])
+    space = PNormSpace(dim, 1.0)
+    assert space.pnorm(v).tobytes() == total.tobytes()
+    assert all(np.float64(space.pnorm(row)).tobytes() == t.tobytes() for row, t in zip(v, total))
+
+
 def test_pnorm_dim_mismatch_rejected():
     space = PNormSpace(3, 1.0)
     with pytest.raises(InvalidInputError):
