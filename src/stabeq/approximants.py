@@ -30,7 +30,7 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from .equations import EquationParams, FunctionHandle, parity_split
-from .errors import InvalidInputError, check_integer
+from .errors import InvalidInputError, check_integer, check_nonnegative
 from .quasinorm import PNormSpace
 
 # Seed for the fixed pseudo-random probe set decompose_odd checks oddness on.
@@ -102,12 +102,9 @@ class IterationSpec:
     def __post_init__(self) -> None:
         if not self.kind.odd and self.params is None:
             raise InvalidInputError("quadratic iteration requires EquationParams")
-        if not (0.0 <= self.tol < np.inf):
-            raise InvalidInputError(f"tol must be finite and >= 0, got {self.tol!r}")
+        check_nonnegative("tol", self.tol)
         if self.max_n is not None:
-            check_integer("max_n", self.max_n)
-            if self.max_n < 1:
-                raise InvalidInputError(f"max_n must be >= 1, got {self.max_n!r}")
+            check_integer("max_n", self.max_n, 1)
 
     @property
     def cap(self) -> int:
@@ -189,8 +186,7 @@ def iterate_cubic(f: FunctionHandle, direction: Direction, x, n: int) -> np.ndar
 
 
 def _dispatch_iterate(spec: IterationSpec, f: FunctionHandle, x, n: int) -> np.ndarray:
-    if n < 0:
-        raise InvalidInputError(f"n must be nonnegative, got {n!r}")
+    check_integer("n", n, 0)
     xs = np.asarray(x, dtype=float)
     vals, _ = _iterate_values(spec, f, xs.reshape(-1), n)
     if xs.ndim == 0:

@@ -36,6 +36,7 @@ import numpy as np
 from .approximants import Direction, IterKind
 from .equations import EquationParams
 from .errors import CriticalExponentError, DivergentSeriesError, InvalidInputError
+from .errors import check_integer, check_nonnegative
 from .quasinorm import PNormSpace
 
 _FORMS = ("constant", "sum", "product")
@@ -67,12 +68,8 @@ class PowerBound:
     def __post_init__(self) -> None:
         if self.form not in _FORMS:
             raise InvalidInputError(f"unknown control form {self.form!r}")
-        if not (self.theta >= 0.0 and np.isfinite(self.theta)):
-            raise InvalidInputError(f"theta must be finite and >= 0, got {self.theta!r}")
-        if not (0.0 <= self.r < np.inf and 0.0 <= self.s < np.inf):
-            raise InvalidInputError(
-                f"exponents must be finite and >= 0, got r={self.r!r}, s={self.s!r}"
-            )
+        for name in ("theta", "r", "s"):
+            check_nonnegative(name, getattr(self, name))
         if self.form == "constant" and (self.r != 0 or self.s != 0):
             raise InvalidInputError("constant form takes no exponents")
         if self.form == "sum" and self.r == 0 and self.s == 0:
@@ -359,8 +356,7 @@ def psi_tilde_numeric(kind, ctx: BoundContext, x, n_terms: int):
     DivergentSeriesError when the direction does not make the series
     converge (partial sums of a divergent comparison series certify nothing).
     """
-    if n_terms < 1:
-        raise InvalidInputError(f"n_terms must be >= 1, got {n_terms!r}")
+    check_integer("n_terms", n_terms, 1)
     return _series_sum(kind, ctx, x, n_terms)
 
 
@@ -500,8 +496,7 @@ def corollary_constant(name: str, ctx: BoundContext, x_norm: float = 1.0) -> flo
     """
     if name not in CONSTANT_NAMES:
         raise InvalidInputError(f"unknown constant name {name!r}")
-    if not 0.0 <= x_norm < np.inf:
-        raise InvalidInputError(f"x_norm must be finite and >= 0, got {x_norm!r}")
+    check_nonnegative("x_norm", x_norm)
     p = ctx.space.p
     r, s = ctx.phi.r, ctx.phi.s
     if name == "quadratic_factor":
@@ -526,8 +521,7 @@ def full_bound_power(ctx: BoundContext, x_norm: float) -> float:
     product) and, when phi has a live y-term, a quadratic block
     (M^3 theta / 2) * quadratic_factor.
     """
-    if not 0.0 <= x_norm < np.inf:
-        raise InvalidInputError(f"x_norm must be finite and >= 0, got {x_norm!r}")
+    check_nonnegative("x_norm", x_norm)
     phi = ctx.phi
     if phi.form not in ("sum", "product"):
         raise InvalidInputError("closed full bound needs a sum or product control")

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import InvalidInputError, check_integer
+from .errors import InvalidInputError, check_integer, check_nonnegative
 from .quasinorm import PNormSpace
 
 
@@ -304,12 +304,13 @@ def to_json(value):
     """value as plain JSON data, the one serializer of stabeq's outputs.
 
     A dataclass becomes an object of its fields in order, keyed by json_key;
-    dicts and lists are walked and arrays become nested lists.  Everything
-    else (numbers, strings, None, int enums, tuples of numbers) is left for
-    json.dumps to write as it is, and is checked for first.  to_json(report)
-    is a report's data; harness.report_to_json writes the same bytes as
-    json.dumps(to_json(report), indent=2) but renders the rows, nearly all
-    of a report's leaves, from a template without walking them here.
+    dicts and lists are walked; numpy arrays and scalars become lists and
+    Python numbers.  Everything else (numbers, strings, None, int enums,
+    tuples of numbers) is left for json.dumps to write as it is, and is
+    checked for first.  to_json(report) is a report's data;
+    harness.report_to_json writes the same bytes as json.dumps(to_json(report),
+    indent=2) but renders the rows, nearly all of a report's leaves, from a
+    template without walking them here.
     """
     if value is None or isinstance(value, (int, float, str, tuple)):
         return value
@@ -319,7 +320,7 @@ def to_json(value):
         return {key: to_json(v) for key, v in value.items()}
     if isinstance(value, list):
         return [to_json(v) for v in value]
-    return value.tolist() if isinstance(value, np.ndarray) else value
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 @dataclass
@@ -346,8 +347,7 @@ def verify_solution(
     float64 on the grid gets a NaN or infinite max_residual, which fails.
     """
     blocks = pair_blocks(grid)
-    if not (0.0 <= tol < np.inf):
-        raise InvalidInputError(f"tol must be finite and >= 0, got {tol!r}")
+    check_nonnegative("tol", tol)
     kind = EquationKind.general_mixed(params)
     max_residual, argmax_point, scale = -np.inf, None, -np.inf
     for X, Y in blocks:

@@ -1,6 +1,11 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and the two range checks that raise one."""
 
 from numbers import Integral
+
+import numpy as np
+
+# No number field takes a bool: JSON and the command line never read one as a number.
+BOOL_TYPES = (bool, np.bool_)
 
 
 class InvalidInputError(ValueError):
@@ -28,7 +33,15 @@ class UnboundablePerturbationError(ArithmeticError):
     """
 
 
-def check_integer(name: str, value) -> None:
-    """Raise InvalidInputError naming the field unless value is a Python or numpy integer."""
-    if not isinstance(value, Integral):
+def check_integer(name: str, value, minimum: int | None = None) -> None:
+    """Raise InvalidInputError naming the field unless value is an integer >= minimum."""
+    if isinstance(value, BOOL_TYPES) or not isinstance(value, Integral):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def check_nonnegative(name: str, value) -> None:
+    """Raise InvalidInputError naming the field unless value is a finite number >= 0."""
+    if isinstance(value, BOOL_TYPES) or not 0.0 <= value < np.inf:
+        raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")

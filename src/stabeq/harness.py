@@ -37,7 +37,8 @@ from .equations import (
     pair_blocks,
     to_json,
 )
-from .errors import InvalidInputError, UnboundablePerturbationError, check_integer
+from .errors import BOOL_TYPES, InvalidInputError, UnboundablePerturbationError
+from .errors import check_integer, check_nonnegative
 from .quasinorm import PNormSpace
 
 _NOISE_KINDS = ("none", "bounded_smooth", "power_scaled")
@@ -70,13 +71,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in _NOISE_KINDS:
             raise InvalidInputError(f"unknown noise kind {self.kind!r}")
-        if not (0.0 <= self.amplitude < np.inf):
-            raise InvalidInputError(
-                f"noise amplitude must be finite and >= 0, got {self.amplitude!r}"
-            )
-        check_integer("noise seed", self.seed)
-        if self.seed < 0:
-            raise InvalidInputError(f"noise seed must be >= 0, got {self.seed!r}")
+        check_nonnegative("noise amplitude", self.amplitude)
+        check_integer("noise seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -107,9 +103,10 @@ class GridSpec:
     count: int = 101
 
     def __post_init__(self) -> None:
-        check_integer("grid count", self.count)
-        if not (self.count >= 2 and -np.inf < self.lo < self.hi < np.inf):
-            raise InvalidInputError("grid needs finite lo < hi and count >= 2")
+        check_integer("grid count", self.count, 2)
+        finite = -np.inf < self.lo < self.hi < np.inf
+        if not finite or any(isinstance(v, BOOL_TYPES) for v in (self.lo, self.hi)):
+            raise InvalidInputError("grid needs finite lo < hi")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -133,6 +130,10 @@ class ExperimentConfig:
     max_n: int = DEFAULT_MAX_N
 
     def __post_init__(self) -> None:
+        EquationParams(self.k)  # k, p and codomain_dim are checked by the types that own them
+        PNormSpace(self.codomain_dim, self.p)
+        check_nonnegative("tol", self.tol)
+        check_integer("max_n", self.max_n, 1)
         if len(self.poly) != 3:
             raise InvalidInputError("poly must be (a3, a2, a1)")
         for c in self.poly:
@@ -141,16 +142,11 @@ class ExperimentConfig:
                 ok = arr.shape in ((), (self.codomain_dim,)) and np.isfinite(arr).all()
             except (TypeError, ValueError):
                 ok = False
-            if not ok:
+            if not ok or any(isinstance(v, BOOL_TYPES) for v in np.asarray(c, dtype=object).flat):
                 raise InvalidInputError(
                     f"poly entries must be finite numbers or {self.codomain_dim}-vectors "
                     f"of finite numbers, got {c!r}"
                 )
-        if not (0.0 <= self.tol < np.inf):
-            raise InvalidInputError(f"tol must be finite and >= 0, got {self.tol!r}")
-        check_integer("max_n", self.max_n)
-        if self.max_n < 1:
-            raise InvalidInputError("max_n must be >= 1")
 
     @classmethod
     def from_json(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import BOOL_TYPES, InvalidInputError, check_integer
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,8 @@ class PNormSpace:
     p: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
-            raise InvalidInputError(f"dim must be a positive integer, got {self.dim!r}")
-        if not (0.0 < self.p <= 1.0):
+        check_integer("dim", self.dim, 1)
+        if isinstance(self.p, BOOL_TYPES) or not 0.0 < self.p <= 1.0:
             raise InvalidInputError(f"p must satisfy 0 < p <= 1, got {self.p!r}")
 
     @property
@@ -71,8 +70,7 @@ def power_sum_residual(xs: np.ndarray, p: float) -> float:
 
     Nonnegative by concavity of t^p; the quantity the series bounds lean on.
     """
-    if not (0.0 < p <= 1.0):
-        raise InvalidInputError(f"p must satisfy 0 < p <= 1, got {p!r}")
+    PNormSpace(1, p)  # applies the p rule
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         raise InvalidInputError("xs must be nonempty")

@@ -78,8 +78,10 @@ def test_iterate_cubic_fixed_on_cubic_maps():
 
 
 def test_iterate_rejects_negative_n():
-    with pytest.raises(InvalidInputError):
-        iterate_additive(handle(lambda xs: xs), Direction.CONTRACT, 1.0, -1)
+    for n, why in ((-1, ">= 0, got -1"), (1.5, "an integer, got 1.5"), (True, "an integer, got True")):
+        for direction in Direction:
+            with pytest.raises(InvalidInputError, match=f"n must be {why}"):
+                iterate_additive(handle(lambda xs: xs), direction, 1.0, n)
 
 
 @pytest.mark.parametrize("iterate", [iterate_additive, iterate_cubic])
@@ -104,9 +106,10 @@ def test_iteration_spec_validation():
         IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, tol=-1e-3)
     with pytest.raises(InvalidInputError):
         IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, max_n=0)
-    with pytest.raises(InvalidInputError, match="max_n must be an integer"):
-        IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, max_n=2.5)
-    for tol in (np.inf, np.nan):
+    for max_n in (2.5, True):
+        with pytest.raises(InvalidInputError, match="max_n must be an integer"):
+            IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, max_n=max_n)
+    for tol in (np.inf, np.nan, True):
         with pytest.raises(InvalidInputError, match="tol must be finite"):
             IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, tol=tol)
     assert IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT).cap == 48

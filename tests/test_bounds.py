@@ -142,12 +142,16 @@ def test_power_bound_validation():
         PowerBound("constant", -0.5)
     with pytest.raises(InvalidInputError):
         PowerBound("constant", np.inf)
+    with pytest.raises(InvalidInputError, match="theta must be finite and >= 0, got True"):
+        PowerBound("constant", True)
     with pytest.raises(InvalidInputError):
         PowerBound("constant", 1.0, r=2.0)
     with pytest.raises(InvalidInputError):
         PowerBound("sum", 1.0, 0.0, 0.0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="r must be finite and >= 0, got -1.0"):
         PowerBound("sum", 1.0, -1.0, 2.0)
+    with pytest.raises(InvalidInputError, match="s must be finite and >= 0, got nan"):
+        PowerBound("sum", 1.0, 2.0, np.nan)
     with pytest.raises(InvalidInputError):
         PowerBound("product", 1.0, 2.0, 0.0)
 
@@ -394,8 +398,9 @@ def test_a_positive_series_that_underflows_raises_and_exact_zeros_stay():
 
 def test_psi_numeric_rejects_bad_term_count():
     ctx = ctx_for(2, 1.0, PowerBound("constant", 1.0))
-    with pytest.raises(InvalidInputError):
-        psi_tilde_numeric("a", ctx, 1.0, 0)
+    for n_terms in (0, 2.5, True):  # a count, never a float or a bool
+        with pytest.raises(InvalidInputError, match="n_terms must be"):
+            psi_tilde_numeric("a", ctx, 1.0, n_terms)
     with pytest.raises(InvalidInputError):
         psi_tilde_numeric("zeta", ctx, 1.0, 5)
     # A non-finite x is rejected by name under every control, theta = 0 too.

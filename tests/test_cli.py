@@ -218,6 +218,22 @@ def test_experiment_config_overrides_flags(runner, tmp_path):
     assert len(payload["rows"]) == 101
 
 
+@pytest.mark.parametrize(
+    "flag,message",
+    [
+        (("--k", "1"), "k must satisfy |k| >= 2, got 1"),
+        (("--p", "0"), "p must satisfy 0 < p <= 1, got 0.0"),
+        (("--dim", "0"), "dim must be >= 1, got 0"),
+    ],
+)
+def test_out_of_range_flags_exit_2_before_the_config_is_read(runner, tmp_path, flag, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(to_json(ExperimentConfig())))
+    result = invoke(runner, "experiment", *flag, "--grid=-1:1:3", "--config", str(cfg))
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_config_written_by_to_json_loads_at_dim_4(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(to_json(ExperimentConfig(codomain_dim=4))))

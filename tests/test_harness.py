@@ -46,12 +46,14 @@ THETA_SEEDED = 0.1615980603378142
 def test_noise_spec_validation():
     with pytest.raises(InvalidInputError):
         NoiseSpec("pink", 0.1)
-    with pytest.raises(InvalidInputError):
-        NoiseSpec("bounded_smooth", -0.1)
+    for amplitude in (-0.1, True):
+        with pytest.raises(InvalidInputError, match="noise amplitude must be finite and >= 0"):
+            NoiseSpec("bounded_smooth", amplitude)
     with pytest.raises(InvalidInputError, match="seed"):
         NoiseSpec("bounded_smooth", 0.01, -1)
-    with pytest.raises(InvalidInputError, match="noise seed must be an integer"):
-        NoiseSpec("bounded_smooth", 0.01, 1.5)
+    for seed in (1.5, True):
+        with pytest.raises(InvalidInputError, match="noise seed must be an integer"):
+            NoiseSpec("bounded_smooth", 0.01, seed)
     assert NoiseSpec().kind == "none"
 
 
@@ -68,12 +70,14 @@ def test_phi_form_validation_and_power_scale():
 
 
 def test_grid_spec():
-    with pytest.raises(InvalidInputError):
-        GridSpec(lo=1.0, hi=1.0)
-    with pytest.raises(InvalidInputError):
+    for lo, hi in ((1.0, 1.0), (True, 2.0), (-1.0, np.True_), (-np.inf, 1.0)):
+        with pytest.raises(InvalidInputError, match="grid needs finite lo < hi"):
+            GridSpec(lo, hi)
+    with pytest.raises(InvalidInputError, match="grid count must be >= 2, got 1"):
         GridSpec(count=1)
-    with pytest.raises(InvalidInputError, match="grid count must be an integer"):
-        GridSpec(-1.0, 1.0, 5.5)
+    for count in (5.5, True):
+        with pytest.raises(InvalidInputError, match="grid count must be an integer"):
+            GridSpec(-1.0, 1.0, count)
     assert GridSpec(-1.0, 1.0, np.int64(5)).points().size == 5
     g = GridSpec(-2.0, 2.0, 5)
     assert np.array_equal(g.points(), [-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -84,16 +88,38 @@ def test_grid_spec():
 def test_experiment_config_validation():
     with pytest.raises(InvalidInputError):
         ExperimentConfig(poly=(1.0, 2.0))
-    with pytest.raises(InvalidInputError):
-        ExperimentConfig(tol=-1e-9)
-    with pytest.raises(InvalidInputError):
+    for tol in (-1e-9, np.nan, True):
+        with pytest.raises(InvalidInputError, match="tol must be finite and >= 0"):
+            ExperimentConfig(tol=tol)
+    with pytest.raises(InvalidInputError, match="max_n must be >= 1, got 0"):
         ExperimentConfig(max_n=0)
-    with pytest.raises(InvalidInputError, match="max_n must be an integer"):
-        ExperimentConfig(max_n=2.5)
-    for poly in ((("a",), 1.0, 1.0), ((1.0, 2.0), 1.0, 1.0), (np.inf, 0.0, 0.0), (1.0, np.nan, 1.0)):
+    for max_n in (2.5, True):
+        with pytest.raises(InvalidInputError, match="max_n must be an integer"):
+            ExperimentConfig(max_n=max_n)
+    # k, p and codomain_dim are checked by the types that own them
+    for fields, message in (
+        ({"k": 2.5}, "k must be an integer"),
+        ({"k": True}, "k must be an integer"),
+        ({"k": -1}, r"\|k\| >= 2"),
+        ({"p": np.nan}, "p must satisfy"),
+        ({"p": True}, "p must satisfy"),
+        ({"codomain_dim": 0}, "dim must be >= 1"),
+        ({"codomain_dim": True}, "dim must be an integer"),
+    ):
+        with pytest.raises(InvalidInputError, match=message):
+            ExperimentConfig(**fields)
+    for poly in (
+        (("a",), 1.0, 1.0),
+        ((1.0, 2.0), 1.0, 1.0),
+        (np.inf, 0.0, 0.0),
+        (1.0, np.nan, 1.0),
+        (True, 1.0, 1.0),
+    ):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(poly=poly)
     assert ExperimentConfig(codomain_dim=2, poly=((1.0, 2.0), 0.0, 1.0)).codomain_dim == 2
+    with pytest.raises(InvalidInputError, match="poly entries"):
+        ExperimentConfig(codomain_dim=2, poly=((1.0, True), 0.0, 1.0))
 
 
 def test_config_json_round_trip():
@@ -131,6 +157,71 @@ def test_config_json_round_trip_keeps_scalar_coefficients(cfg):
     assert [isinstance(c, list) for c in data["poly"]] == [
         isinstance(c, tuple) for c in cfg.poly
     ]
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi) | st.integers(lo, hi).map(np.int64)
+
+
+# Every number a config holds, keyed by the argument that carries it, with
+# the values it validly takes; the odd values below replace a few of them.
+CONFIG_NUMBERS = {
+    "k": st.sampled_from([2, -2, 3, 10]) | st.sampled_from([2, -3]).map(np.int64),
+    "p": st.floats(0.05, 1.0),
+    "codomain_dim": _ints(1, 3),
+    "a3": st.floats(-10.0, 10.0),
+    "a2": st.floats(-10.0, 10.0) | st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    "a1": st.floats(-10.0, 10.0),
+    "amplitude": st.floats(0.0, 1.0),
+    "seed": _ints(0, 2**32),
+    "r": st.floats(0.0, 5.0),
+    "s": st.floats(0.0, 5.0),
+    "lo": st.floats(-10.0, -0.5),
+    "hi": st.floats(0.5, 10.0),
+    "count": _ints(2, 500),
+    "tol": st.floats(0.0, 1e-3),
+    "max_n": _ints(1, 100),
+}
+ODD_NUMBERS = st.sampled_from([True, False, np.True_, np.nan, np.inf, -np.inf, -1, -2.5, 0.5, 2.5])
+
+
+@st.composite
+def config_numbers(draw):
+    values = {name: draw(valid) for name, valid in CONFIG_NUMBERS.items()}
+    for name in draw(st.sets(st.sampled_from(sorted(CONFIG_NUMBERS)), max_size=2)):
+        values[name] = draw(ODD_NUMBERS)
+    return values
+
+
+DEFAULT_NUMBERS = dict(
+    k=2, p=1.0, codomain_dim=1, a3=1.0, a2=1.0, a1=1.0, amplitude=0.01, seed=3,
+    r=4.0, s=4.0, lo=-5.0, hi=5.0, count=101, tol=1e-10, max_n=48,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(config_numbers())
+@example({**DEFAULT_NUMBERS, "max_n": True})
+@example({**DEFAULT_NUMBERS, "k": 2.5})
+@example({**DEFAULT_NUMBERS, "p": np.nan})
+def test_every_config_the_api_builds_reads_back_from_its_json(v):
+    """A config either fails to build, or its JSON is strict and reads back equal."""
+    try:
+        cfg = ExperimentConfig(
+            k=v["k"],
+            p=v["p"],
+            codomain_dim=v["codomain_dim"],
+            poly=(v["a3"], v["a2"], v["a1"]),
+            noise=NoiseSpec("power_scaled", v["amplitude"], v["seed"]),
+            phi_form=PhiForm("sum", v["r"], v["s"]),
+            grid=GridSpec(v["lo"], v["hi"], v["count"]),
+            tol=v["tol"],
+            max_n=v["max_n"],
+        )
+    except InvalidInputError:
+        return
+    blob = json.dumps(to_json(cfg), allow_nan=False)
+    assert ExperimentConfig.from_json(json.loads(blob)) == cfg
 
 
 def test_config_from_json_fills_defaults():

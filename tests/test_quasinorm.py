@@ -52,7 +52,8 @@ def test_pnorm_dim_mismatch_rejected():
 
 
 @pytest.mark.parametrize(
-    "dim,p", [(0, 1.0), (-2, 1.0), (2, 0.0), (2, -0.5), (2, 1.5), (2, float("nan"))]
+    "dim,p",
+    [(0, 1.0), (-2, 1.0), (1.5, 1.0), (True, 1.0), (2, 0.0), (2, -0.5), (2, 1.5), (2, float("nan")), (2, True)],
 )
 def test_space_validation(dim, p):
     with pytest.raises(InvalidInputError):
