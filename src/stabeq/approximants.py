@@ -162,9 +162,8 @@ def _combine(spec: IterationSpec, levels: range, rungs: range, vals, mag):
 def _iterate_values(spec: IterationSpec, f: FunctionHandle, X: np.ndarray, n: int):
     """_combine's (values, magnitude) of the n-th iterate at the points X."""
     levels = range(n, n + 1)
-    rungs = _rungs(spec, levels)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, mag = _combine(spec, levels, rungs, *f.evaluate(_points(spec, X, rungs)))
+        vals, mag = _combine(spec, levels, *_Ladder(spec, f, X).block(levels, np.arange(X.size)))
     return vals[0], mag[0]
 
 

@@ -167,8 +167,8 @@ _FIXED_TERMS = {
     "cubic_additive": ((1, 2, 1), (1, 2, -1), (-2, 1, 1), (-2, 1, -1), (-2, 2, 0), (4, 1, 0)),
 }
 
-# Pairs per block of operator_residual and of pair_blocks: the working set
-# is a few arrays of block x dim floats per term, whatever the number of pairs.
+# Pairs per block of pair_blocks: the working set of operator_residual on a
+# block is a few arrays of block x dim floats per term, whatever the grid.
 _BLOCK = 1 << 14
 
 
@@ -202,22 +202,15 @@ def operator_residual(
     X and Y are flat arrays of equal length.  Returns (residuals, scale) of
     shapes (N, dim) and (N,), with scale = 1 + sum_m |c_m| pnorm(magnitude
     of the m-th evaluation), so eps * scale is the rounding level of the
-    residual.  Pairs are taken _BLOCK at a time; every pair's result is the
-    same whichever block it falls in.
+    residual.  All pairs are evaluated in one pass, and each pair's result
+    is that of evaluating it alone; callers bound memory with pair_blocks.
     """
-    space = f.space
-    resid = np.empty((X.size, space.dim))
-    scale = np.empty(X.size)
-    for lo in range(0, X.size, _BLOCK):
-        x, y = X[lo : lo + _BLOCK], Y[lo : lo + _BLOCK]
-        acc = size = 0.0
-        for c, a, b in kind.terms:
-            vals, mag = f.evaluate(a * x + b * y)
-            acc = acc + c * vals
-            size = size + abs(c) * space.pnorm(mag)
-        resid[lo : lo + _BLOCK] = acc
-        scale[lo : lo + _BLOCK] = 1.0 + size
-    return resid, scale
+    acc = size = 0.0
+    for c, a, b in kind.terms:
+        vals, mag = f.evaluate(a * X + b * Y)
+        acc = acc + c * vals
+        size = size + abs(c) * f.space.pnorm(mag)
+    return acc, 1.0 + size
 
 
 def residual(f: FunctionHandle, kind: EquationKind, x, y) -> np.ndarray:
@@ -261,7 +254,7 @@ class _ParityPart(FunctionHandle):
         vals, mag = self._whole._eval(np.concatenate([xs, -xs]))
         plus, minus = vals[:n], vals[n:]
         part = 0.5 * (plus - minus) if self._odd else 0.5 * (plus + minus)
-        return part - self.offset, 0.5 * (mag[:n] + mag[n:])
+        return part, 0.5 * (mag[:n] + mag[n:])
 
 
 def parity_split(f: FunctionHandle) -> tuple[FunctionHandle, FunctionHandle]:

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the two range checks that raise one."""
+"""Exception types shared across the package, the number rule and the range checks."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -33,6 +34,16 @@ class UnboundablePerturbationError(ArithmeticError):
     """
 
 
+def is_finite_number(value) -> bool:
+    """True for a real number, never a bool, that is finite in float64 (a huge int is not)."""
+    if isinstance(value, BOOL_TYPES) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def check_integer(name: str, value, minimum: int | None = None) -> None:
     """Raise InvalidInputError naming the field unless value is an integer >= minimum."""
     if isinstance(value, BOOL_TYPES) or not isinstance(value, Integral):
@@ -43,5 +54,5 @@ def check_integer(name: str, value, minimum: int | None = None) -> None:
 
 def check_nonnegative(name: str, value) -> None:
     """Raise InvalidInputError naming the field unless value is a finite number >= 0."""
-    if isinstance(value, BOOL_TYPES) or not 0.0 <= value < np.inf:
+    if not (is_finite_number(value) and value >= 0):
         raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")

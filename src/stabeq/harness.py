@@ -37,8 +37,8 @@ from .equations import (
     pair_blocks,
     to_json,
 )
-from .errors import BOOL_TYPES, InvalidInputError, UnboundablePerturbationError
-from .errors import check_integer, check_nonnegative
+from .errors import InvalidInputError, UnboundablePerturbationError
+from .errors import check_integer, check_nonnegative, is_finite_number
 from .quasinorm import PNormSpace
 
 _NOISE_KINDS = ("none", "bounded_smooth", "power_scaled")
@@ -104,8 +104,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         check_integer("grid count", self.count, 2)
-        finite = -np.inf < self.lo < self.hi < np.inf
-        if not finite or any(isinstance(v, BOOL_TYPES) for v in (self.lo, self.hi)):
+        if not (is_finite_number(self.lo) and is_finite_number(self.hi) and self.lo < self.hi):
             raise InvalidInputError("grid needs finite lo < hi")
 
     def points(self) -> np.ndarray:
@@ -122,7 +121,7 @@ class ExperimentConfig:
     k: int = 2
     p: float = 1.0
     codomain_dim: int = 1
-    poly: tuple = (1.0, 1.0, 1.0)  # (a3, a2, a1), scalars or per-component tuples
+    poly: tuple = (1.0, 1.0, 1.0)  # (a3, a2, a1), floats or per-component tuples of floats
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     phi_form: PhiForm = field(default_factory=PhiForm)
     grid: GridSpec = field(default_factory=GridSpec)
@@ -134,19 +133,22 @@ class ExperimentConfig:
         PNormSpace(self.codomain_dim, self.p)
         check_nonnegative("tol", self.tol)
         check_integer("max_n", self.max_n, 1)
-        if len(self.poly) != 3:
+        if not isinstance(self.poly, (tuple, list, np.ndarray)) or len(self.poly) != 3:
             raise InvalidInputError("poly must be (a3, a2, a1)")
-        for c in self.poly:
-            try:
-                arr = np.asarray(c, dtype=float)
-                ok = arr.shape in ((), (self.codomain_dim,)) and np.isfinite(arr).all()
-            except (TypeError, ValueError):
-                ok = False
-            if not ok or any(isinstance(v, BOOL_TYPES) for v in np.asarray(c, dtype=object).flat):
-                raise InvalidInputError(
-                    f"poly entries must be finite numbers or {self.codomain_dim}-vectors "
-                    f"of finite numbers, got {c!r}"
-                )
+        # Stored as from_json builds it: a float, or a tuple of codomain_dim floats.
+        object.__setattr__(self, "poly", tuple(map(self._coefficient, self.poly)))
+
+    def _coefficient(self, c) -> float | tuple[float, ...]:
+        c = c[()] if isinstance(c, np.ndarray) and c.ndim == 0 else c
+        if is_finite_number(c):
+            return float(c)
+        vector = isinstance(c, (tuple, list, np.ndarray)) and len(c) == self.codomain_dim
+        if vector and all(map(is_finite_number, c)):
+            return tuple(map(float, c))
+        raise InvalidInputError(
+            f"poly entries must be finite numbers or {self.codomain_dim}-vectors "
+            f"of finite numbers, got {c!r}"
+        )
 
     @classmethod
     def from_json(
@@ -176,8 +178,8 @@ def _json_float(raw) -> float:
 
 # The JSON schema is the dataclass fields, as to_json writes them: keys by
 # json_key, nested dataclasses as nested objects, scalars converted by their
-# declared type, and poly entries as numbers or per-component lists.
-_SCALAR_TYPES = {"int": _json_int, "float": _json_float, "str": str}
+# declared type, and poly as read, for ExperimentConfig to check and store.
+_FIELD_TYPES = {"int": _json_int, "float": _json_float, "str": str, "tuple": lambda raw: raw}
 
 
 def _config_from_json(base, data, where: str):
@@ -195,13 +197,7 @@ def _config_from_json(base, data, where: str):
             changes[f.name] = _config_from_json(current, raw, f"{where}.{key}")
             continue
         try:
-            if f.name == "poly":
-                changes[f.name] = tuple(
-                    tuple(map(_json_float, c)) if isinstance(c, (list, tuple)) else _json_float(c)
-                    for c in raw
-                )
-            else:
-                changes[f.name] = _SCALAR_TYPES[f.type](raw)
+            changes[f.name] = _FIELD_TYPES[f.type](raw)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"{where}.{key}: {exc}") from None
     return replace(base, **changes)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BOOL_TYPES, InvalidInputError, check_integer
+from .errors import InvalidInputError, check_integer, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class PNormSpace:
 
     def __post_init__(self) -> None:
         check_integer("dim", self.dim, 1)
-        if isinstance(self.p, BOOL_TYPES) or not 0.0 < self.p <= 1.0:
+        if not (is_finite_number(self.p) and 0.0 < self.p <= 1.0):
             raise InvalidInputError(f"p must satisfy 0 < p <= 1, got {self.p!r}")
 
     @property

@@ -374,6 +374,20 @@ def test_psi_numeric_stops_at_the_last_finite_term_for_huge_k():
                 psi_tilde_numeric("e", ctx, x, 5)
 
 
+def test_series_stopping_where_a_chunk_starts_past_float64_keeps_its_tail_bound():
+    """At k = 270 the control |u|^1.999 leaves float64 at term 64, the first
+    term of the second chunk; the sum stops before it and the tail bound
+    carries the rest, so the bound still dominates the exact sum."""
+    ctx = ctx_for(270, 0.05, PowerBound("sum", 1.0, 0.0, 1.999))
+    got = psi_tilde_bound("e", ctx, 1.0)
+    with mp.workdps(50):
+        # term i is rho^i, rho = 270^(p (s - 2)), at the float64 p and s given
+        rho = mp.mpf(270) ** (mp.mpf(0.05) * (mp.mpf(1.999) - 2))
+        exact = 1 / (1 - rho)
+        assert got >= exact
+        assert (got - exact) / exact <= 1e-12
+
+
 def test_a_positive_series_that_underflows_raises_and_exact_zeros_stay():
     ctx = ctx_for(10**11, 1.0, PowerBound("sum", 1.0, 0.0, 40.0))
     for x in (1.0, [0.0, 1.0], -1e-30):

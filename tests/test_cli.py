@@ -279,6 +279,14 @@ def test_config_unknown_key_exits_2(runner, tmp_path, overrides):
     )
 
 
+def test_config_holding_malformed_json_exits_2_naming_the_file(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"k": 3,')
+    result = invoke(runner, "experiment", "--grid", "-1:1:3", "--config", str(cfg))
+    assert result.exit_code == 2
+    assert f"--config {cfg}:" in result.stderr
+
+
 def test_huge_k_writes_a_finite_report_without_warnings(runner):
     # The suite turns RuntimeWarning into an error, so a numpy overflow
     # warning in the bound series would fail this test.

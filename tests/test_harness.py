@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from stabeq import (
     InvalidInputError,
     NoiseSpec,
     PhiForm,
+    PowerBound,
     ReportRow,
     StabilityReport,
     UnboundablePerturbationError,
@@ -33,6 +35,7 @@ from stabeq import (
     verify_solution,
 )
 from stabeq.equations import _BLOCK, operator_residual
+from stabeq.errors import is_finite_number
 
 SEEDED = ExperimentConfig(noise=NoiseSpec("bounded_smooth", 0.01, 42))
 
@@ -83,6 +86,82 @@ def test_grid_spec():
     assert np.array_equal(g.points(), [-2.0, -1.0, 0.0, 1.0, 2.0])
     assert g.pairs().shape == (25, 2)
     assert np.array_equal(g.pairs()[0], [-2.0, -2.0])
+
+
+@pytest.mark.parametrize(
+    "value,want",
+    [
+        (0, True),
+        (-2.5, True),
+        (2**1023, True),
+        (np.int64(-3), True),
+        (np.float32(3e38), True),
+        (Fraction(1, 3), True),
+        (10**400, False),
+        (-(10**400), False),
+        (np.nan, False),
+        (-np.inf, False),
+        (np.float32(np.inf), False),
+        (True, False),
+        (np.False_, False),
+        ("1", False),
+        (None, False),
+        (1j, False),
+        (np.array(1.0), False),
+    ],
+    ids=[
+        "int", "float", "int-2^1023", "int64", "float32-max", "fraction", "int-huge",
+        "int-minus-huge", "nan", "-inf", "float32-inf", "bool", "numpy-bool", "str", "none",
+        "complex", "0-d-array",
+    ],
+)
+def test_is_finite_number(value, want):
+    assert is_finite_number(value) is want
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExperimentConfig(tol="1e-9"),
+        lambda: ExperimentConfig(p="0.5"),
+        lambda: GridSpec("a", 1.0, 3),
+        lambda: NoiseSpec("none", "0", 0),
+        lambda: PhiForm("sum", "1", 0.0),
+        lambda: ExperimentConfig(tol=10**400, grid=GridSpec(-1.0, 1.0, 5)),
+        lambda: NoiseSpec("bounded_smooth", 10**400, 1),
+        lambda: PowerBound("constant", 10**400),
+        lambda: GridSpec(-(10**400), 1.0, 5),
+        lambda: ExperimentConfig(poly=("1", 1.0, 1.0)),
+        lambda: ExperimentConfig(poly=5),
+    ],
+    ids=[
+        "tol-str", "p-str", "grid-str", "amplitude-str", "r-str", "tol-huge",
+        "amplitude-huge", "theta-huge", "grid-huge", "poly-str", "poly-int",
+    ],
+)
+def test_what_is_not_a_finite_number_is_invalid_input(build):
+    with pytest.raises(InvalidInputError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "poly,stored",
+    [
+        (([1.0, 2.0], 1.0, 1.0), ((1.0, 2.0), 1.0, 1.0)),
+        ((np.array([1.0, 2.0]), 1.0, 1.0), ((1.0, 2.0), 1.0, 1.0)),
+        ((np.int64(1), 1.0, 1.0), (1.0, 1.0, 1.0)),
+        ((np.array(3.0), np.float32(0.5), (np.int64(1), 2)), (3.0, 0.5, (1.0, 2.0))),
+        (np.ones((3, 2)), ((1.0, 1.0),) * 3),
+        ([1, 2, 3], (1.0, 2.0, 3.0)),
+    ],
+)
+def test_poly_is_stored_as_its_json_reads_back(poly, stored):
+    cfg = ExperimentConfig(codomain_dim=2, poly=poly)
+    assert cfg.poly == stored
+    assert [type(c) for c in cfg.poly] == [type(c) for c in stored]
+    assert all(type(v) is float for c in cfg.poly for v in (c if type(c) is tuple else (c,)))
+    hash(cfg)
+    assert ExperimentConfig.from_json(json.loads(json.dumps(to_json(cfg)))) == cfg
 
 
 def test_experiment_config_validation():
@@ -163,15 +242,23 @@ def _ints(lo, hi):
     return st.integers(lo, hi) | st.integers(lo, hi).map(np.int64)
 
 
+COEF = st.floats(-10.0, 10.0)
+PAIR = st.lists(COEF, min_size=2, max_size=2)
+
 # Every number a config holds, keyed by the argument that carries it, with
 # the values it validly takes; the odd values below replace a few of them.
 CONFIG_NUMBERS = {
     "k": st.sampled_from([2, -2, 3, 10]) | st.sampled_from([2, -3]).map(np.int64),
     "p": st.floats(0.05, 1.0),
     "codomain_dim": _ints(1, 3),
-    "a3": st.floats(-10.0, 10.0),
-    "a2": st.floats(-10.0, 10.0) | st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
-    "a1": st.floats(-10.0, 10.0),
+    "a3": COEF,
+    # a 2-vector, as a tuple, a list, an array or a tuple of numpy integers
+    "a2": COEF
+    | PAIR.map(tuple)
+    | PAIR
+    | PAIR.map(np.array)
+    | st.lists(st.integers(-10, 10).map(np.int64), min_size=2, max_size=2).map(tuple),
+    "a1": COEF,
     "amplitude": st.floats(0.0, 1.0),
     "seed": _ints(0, 2**32),
     "r": st.floats(0.0, 5.0),
@@ -182,7 +269,10 @@ CONFIG_NUMBERS = {
     "tol": st.floats(0.0, 1e-3),
     "max_n": _ints(1, 100),
 }
-ODD_NUMBERS = st.sampled_from([True, False, np.True_, np.nan, np.inf, -np.inf, -1, -2.5, 0.5, 2.5])
+ODD_NUMBERS = st.sampled_from(
+    [True, False, np.True_, np.nan, np.inf, -np.inf, -1, -2.5, 0.5, 2.5,
+     "1", "nan", 10**400, -(10**400), np.float32(0.5)]
+)
 
 
 @st.composite
@@ -204,8 +294,15 @@ DEFAULT_NUMBERS = dict(
 @example({**DEFAULT_NUMBERS, "max_n": True})
 @example({**DEFAULT_NUMBERS, "k": 2.5})
 @example({**DEFAULT_NUMBERS, "p": np.nan})
+@example({**DEFAULT_NUMBERS, "tol": "1e-9"})
+@example({**DEFAULT_NUMBERS, "tol": 10**400})
+@example({**DEFAULT_NUMBERS, "lo": -(10**400)})
+@example({**DEFAULT_NUMBERS, "a3": "1"})
+@example({**DEFAULT_NUMBERS, "a3": np.int64(1)})
+@example({**DEFAULT_NUMBERS, "codomain_dim": 2, "a2": [1.0, 2.0]})
+@example({**DEFAULT_NUMBERS, "codomain_dim": 2, "a2": np.array([1.0, 2.0])})
 def test_every_config_the_api_builds_reads_back_from_its_json(v):
-    """A config either fails to build, or its JSON is strict and reads back equal."""
+    """A config either fails to build, or it hashes and its JSON is strict and reads back equal."""
     try:
         cfg = ExperimentConfig(
             k=v["k"],
@@ -220,6 +317,7 @@ def test_every_config_the_api_builds_reads_back_from_its_json(v):
         )
     except InvalidInputError:
         return
+    hash(cfg)
     blob = json.dumps(to_json(cfg), allow_nan=False)
     assert ExperimentConfig.from_json(json.loads(blob)) == cfg
 
