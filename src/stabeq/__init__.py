@@ -16,10 +16,6 @@ from .approximants import (
     IterKind,
     LimitFunction,
     decompose_full,
-    decompose_odd,
-    iterate_additive,
-    iterate_cubic,
-    iterate_quadratic,
     take_limit,
 )
 from .bounds import (
@@ -33,7 +29,6 @@ from .bounds import (
     psi_tilde_numeric,
     select_direction,
     select_directions,
-    series_step_ratio,
     stability_bound,
 )
 from .equations import (
@@ -105,13 +100,9 @@ __all__ = [
     "calibrate_theta",
     "corollary_constant",
     "decompose_full",
-    "decompose_odd",
     "difference_operator",
     "emit_report",
     "full_bound_power",
-    "iterate_additive",
-    "iterate_cubic",
-    "iterate_quadratic",
     "make_test_function",
     "mixed_fourth_residual",
     "modulus_of_concavity",
@@ -125,7 +116,6 @@ __all__ = [
     "run_experiment",
     "select_direction",
     "select_directions",
-    "series_step_ratio",
     "stability_bound",
     "take_limit",
     "to_json",

@@ -33,16 +33,6 @@ from .equations import EquationParams, FunctionHandle, parity_split
 from .errors import InvalidInputError, check_integer, check_nonnegative
 from .quasinorm import PNormSpace
 
-# Seed for the fixed pseudo-random probe set decompose_odd checks oddness on.
-PROBE_SEED = 1729
-PROBE_COUNT = 32
-
-
-def default_probes(lo: float = -5.0, hi: float = 5.0) -> np.ndarray:
-    """The documented deterministic probe points on [lo, hi]."""
-    rng = np.random.default_rng(PROBE_SEED)
-    return rng.uniform(lo, hi, PROBE_COUNT)
-
 
 class Direction(IntEnum):
     """Iteration direction j: CONTRACT shrinks arguments, EXPAND grows them."""
@@ -157,40 +147,6 @@ def _combine(spec: IterationSpec, levels: range, rungs: range, vals, mag):
     two = slice(first - j, first - j + len(levels))
     c = 2.0 ** (4.0 - kind.degree)
     return scale * (vals[two] - c * vals[at]), abs(scale) * (mag[two] + c * mag[at])
-
-
-def _iterate_values(spec: IterationSpec, f: FunctionHandle, X: np.ndarray, n: int):
-    """_combine's (values, magnitude) of the n-th iterate at the points X."""
-    levels = range(n, n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, mag = _combine(spec, levels, *_Ladder(spec, f, X).block(levels, np.arange(X.size)))
-    return vals[0], mag[0]
-
-
-def iterate_quadratic(
-    f: FunctionHandle, params: EquationParams, direction: Direction, x, n: int
-) -> np.ndarray:
-    """k^(2nj) f(u): u = x / k^(nj) is rung n, rounded once."""
-    return _dispatch_iterate(IterationSpec(IterKind.QUADRATIC, direction, params), f, x, n)
-
-
-def iterate_additive(f: FunctionHandle, direction: Direction, x, n: int) -> np.ndarray:
-    """2^(nj) g(u), g(u) = f(2u) - 8 f(u): u and 2u are rungs n and n - j, each rounded once."""
-    return _dispatch_iterate(IterationSpec(IterKind.ADDITIVE, direction), f, x, n)
-
-
-def iterate_cubic(f: FunctionHandle, direction: Direction, x, n: int) -> np.ndarray:
-    """8^(nj) h(u), h(u) = f(2u) - 2 f(u): u and 2u are rungs n and n - j, each rounded once."""
-    return _dispatch_iterate(IterationSpec(IterKind.CUBIC, direction), f, x, n)
-
-
-def _dispatch_iterate(spec: IterationSpec, f: FunctionHandle, x, n: int) -> np.ndarray:
-    check_integer("n", n, 0)
-    xs = np.asarray(x, dtype=float)
-    vals, _ = _iterate_values(spec, f, xs.reshape(-1), n)
-    if xs.ndim == 0:
-        return vals[0]
-    return vals.reshape(xs.shape + (f.space.dim,))
 
 
 @dataclass(frozen=True)
@@ -429,29 +385,6 @@ def _component(
         return LimitFunction(IterationSpec(kind, j, tol=tol, max_n=max_n), base, scale)
     cap = min(max_n, DEFAULT_MAX_N_QUADRATIC)
     return LimitFunction(IterationSpec(kind, j, params, tol, cap), base)
-
-
-def decompose_odd(
-    f: FunctionHandle,
-    j_additive: Direction = Direction.EXPAND,
-    j_cubic: Direction = Direction.EXPAND,
-    tol: float = DEFAULT_TOL,
-    max_n: int = DEFAULT_MAX_N,
-) -> tuple[LimitFunction, LimitFunction]:
-    """Split an odd near-solution into additive and cubic approximants.
-
-    A(x) = -(1/6) lim 2^(nj) g(x/2^(nj)),  C(x) = (1/6) lim 8^(nj) h(x/2^(nj));
-    then A + C approximates f.  Oddness is validated at default_probes().
-    """
-    probes = default_probes()
-    vals = f(probes)
-    slack = 1e-9 * (1.0 + f.space.pnorm(vals))
-    if np.any(f.space.pnorm(vals + f(-probes)) > slack):
-        raise InvalidInputError("decompose_odd requires an odd map")
-    return (
-        _component(IterKind.ADDITIVE, f, j_additive, tol, max_n),
-        _component(IterKind.CUBIC, f, j_cubic, tol, max_n),
-    )
 
 
 @dataclass

@@ -237,7 +237,7 @@ def _bases(kind: IterKind, ctx: BoundContext) -> tuple[float, float]:
 def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, int, float]:
     """(weight w, argument scale per step, direction j, step ratio rho) of the series.
 
-    rho bounds term(i+1)/term(i) and is 0 when the series is identically zero.
+    rho bounds term(i+1)/term(i), rounded, and is 0 when the series is identically zero.
     A slot with no convergent direction raises, whatever theta is.
     """
     direction = ctx.directions[list(IterKind).index(kind)]
@@ -255,15 +255,6 @@ def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, i
     return w, arg_scale, j, float(rho)
 
 
-def series_step_ratio(kind, ctx: BoundContext) -> float:
-    """Upper bound on term(i+1)/term(i), rounded: convergence reads the exponents.
-
-    Zero when the series is identically zero (quadratic kind with a control
-    vanishing on the y-axis, or theta = 0).
-    """
-    return _series_geometry(_as_series_kind(kind), ctx)[3]
-
-
 def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
     """The series at |x|, summed in chunks of _CHUNK terms.
 
@@ -277,11 +268,12 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
 
     With n_terms, the partial sum of the first n_terms terms.  Without, terms
     are added until the tail bound (last term * rho/(1-rho)) is below 1e-15
-    of the running sum at every point, and then that tail bound is added, so
-    the result dominates the true sum.  Summing stops before the first term
-    that is not finite in float64: for a huge |k| the argument scale k^i
-    overflows within a chunk while its weight underflows, and as term(i+1)
-    <= rho * term(i) the terms left out are negligible.
+    of the running sum at every point, and then that tail bound is added;
+    nothing rounds the float64 sum up, so it can fall a few ulps below the
+    exact sum.  Summing stops before the first term that is not finite in
+    float64: for a huge |k| the argument scale k^i overflows within a chunk
+    while its weight underflows, and as term(i+1) <= rho * term(i) the
+    terms left out are negligible.
     """
     kind = _as_series_kind(kind)
     w, arg_scale, j, rho = _series_geometry(kind, ctx)
@@ -368,17 +360,11 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
 class BoundKind(Enum):
     """Which stability inequality to evaluate.
 
-    QUADRATIC    : bound on ||f_e - Q|| for even near-solutions
-    ADDITIVE_G   : bound on ||g - A0||, g(x) = f(2x) - 8 f(x)  (odd f)
-    CUBIC_H      : bound on ||h - C0||, h(x) = f(2x) - 2 f(x)  (odd f)
-    ODD_COMBINED : bound on ||f - A - C|| for odd near-solutions
-    FULL         : bound on ||f - A - Q - C|| for general near-solutions
+    QUADRATIC : bound on ||f_e - Q|| for even near-solutions
+    FULL      : bound on ||f - A - Q - C|| for general near-solutions
     """
 
     QUADRATIC = "quadratic"
-    ADDITIVE_G = "additive_g"
-    CUBIC_H = "cubic_h"
-    ODD_COMBINED = "odd_combined"
     FULL = "full"
 
 
@@ -403,12 +389,6 @@ def stability_bound(kind, ctx: BoundContext, x):
     with np.errstate(over="ignore"):  # a finite psi can still have psi^(1/p) = inf
         if kind is BoundKind.QUADRATIC:
             out = (M / (2.0 * k2)) * psi("e", xs) ** ip
-        elif kind is BoundKind.ADDITIVE_G:
-            out = (M**5 / 2.0) * psi("a", xs) ** ip
-        elif kind is BoundKind.CUBIC_H:
-            out = (M**5 / 8.0) * psi("c", xs) ** ip
-        elif kind is BoundKind.ODD_COMBINED:
-            out = (M**6 / 48.0) * (4.0 * psi("a", xs) ** ip + psi("c", xs) ** ip)
         else:  # FULL
             psa = psi("a", xs) + psi("a", -xs)
             psc = psi("c", xs) + psi("c", -xs)
@@ -514,12 +494,13 @@ def corollary_constant(name: str, ctx: BoundContext, x_norm: float = 1.0) -> flo
 def full_bound_power(ctx: BoundContext, x_norm: float) -> float:
     """Closed-form full bound for a power control at ||x|| = x_norm.
 
-    Composes the closed constants exactly the way stability_bound(FULL)
-    composes the series: an odd-part block with prefactor
-    M^8 theta / (6 k^2 |1-k^2|) over the control's live power terms (gamma
-    for a sum of two, alpha or beta for a single power, epsilon for a
-    product) and, when phi has a live y-term, a quadratic block
-    (M^3 theta / 2) * quadratic_factor.
+    An odd-part block with prefactor M^8 theta / (6 k^2 |1-k^2|) over the
+    control's live power terms (gamma for a sum of two, alpha or beta for a
+    single power, epsilon for a product) plus, when phi has a live y-term,
+    (M^3 theta / 2) * quadratic_factor.  At p = 1 this is stability_bound(FULL)
+    with each series in closed form.  Below p = 1, FULL roots the symmetrized
+    sum 2 psi and this roots each constant, and it reads FULL / M to FULL on
+    probe controls.  Which composition the theorem gives at p < 1 is open.
     """
     check_nonnegative("x_norm", x_norm)
     phi = ctx.phi

@@ -56,17 +56,6 @@ class FunctionHandle:
         self.offset = self._eval(np.zeros(1))[0][0].copy()
 
     @classmethod
-    def from_scalar(
-        cls, fn: Callable[[float], float | np.ndarray], space: PNormSpace
-    ) -> "FunctionHandle":
-        """Wrap a scalar-argument callable (slow path: Python loop per point)."""
-
-        def vec(xs: np.ndarray) -> np.ndarray:
-            return np.array([np.asarray(fn(float(x)), dtype=float) for x in xs])
-
-        return cls(vec, space)
-
-    @classmethod
     def componentwise(
         cls, space: PNormSpace, fn: Callable[..., np.ndarray], *coefs
     ) -> "FunctionHandle":

@@ -38,7 +38,7 @@ from .equations import (
     to_json,
 )
 from .errors import InvalidInputError, UnboundablePerturbationError
-from .errors import check_integer, check_nonnegative, is_finite_number
+from .errors import check_integer, check_nonnegative, is_finite_number, shown
 from .quasinorm import PNormSpace
 
 _NOISE_KINDS = ("none", "bounded_smooth", "power_scaled")
@@ -147,7 +147,7 @@ class ExperimentConfig:
             return tuple(map(float, c))
         raise InvalidInputError(
             f"poly entries must be finite numbers or {self.codomain_dim}-vectors "
-            f"of finite numbers, got {c!r}"
+            f"of finite numbers, got {shown(c)}"
         )
 
     @classmethod

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, check_integer, is_finite_number
+from .errors import InvalidInputError, check_integer, is_finite_number, shown
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class PNormSpace:
     def __post_init__(self) -> None:
         check_integer("dim", self.dim, 1)
         if not (is_finite_number(self.p) and 0.0 < self.p <= 1.0):
-            raise InvalidInputError(f"p must satisfy 0 < p <= 1, got {self.p!r}")
+            raise InvalidInputError(f"p must satisfy 0 < p <= 1, got {shown(self.p)}")
 
     @property
     def modulus(self) -> float:

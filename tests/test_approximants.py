@@ -1,5 +1,6 @@
 """Scaled iterations, Cauchy limits, and the component decomposition."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,10 +23,6 @@ from stabeq import (
     PhiForm,
     PNormSpace,
     decompose_full,
-    decompose_odd,
-    iterate_additive,
-    iterate_cubic,
-    iterate_quadratic,
     make_test_function,
     parity_split,
     run_experiment,
@@ -33,11 +30,12 @@ from stabeq import (
     to_json,
 )
 from stabeq import approximants
-from stabeq.approximants import _iterate_values, default_probes
 from stabeq.harness import decompose
 
 SPACE1 = PNormSpace(1, 1.0)
 K2 = EquationParams(2)
+# 32 fixed pseudo-random points on [-5, 5].
+PROBES = np.random.default_rng(1729).uniform(-5.0, 5.0, 32)
 
 
 def handle(fn):
@@ -49,51 +47,85 @@ def sin_perturbed_odd():
     return handle(lambda xs: xs**3 + xs + 0.01 * np.sin(xs))
 
 
-# --- single iterates ------------------------------------------------------
+# --- one level -----------------------------------------------------------
+
+
+def power(b, e):
+    """float(b) ** e, or the infinity it rounds to past float64's range."""
+    try:
+        return float(b) ** e
+    except OverflowError:
+        return math.inf if b > 0 or e % 2 == 0 else -math.inf
+
+
+def iterate_reference(spec, f, xs, n):
+    """(value, rounding scale) of level n at the points xs, from the approximants docstring.
+
+    A component of degree d iterates with base b (k for Q, 2 for A and C):
+    level n reads f at rung n, u = x * b^(-nj), and weighs by w = b^(dnj); an
+    odd kind reads f(2u) - c f(u), with 2u at rung n - j.  The rounding scale
+    is |w| times the magnitude of f(u), or of f(2u) plus c times that of f(u).
+    """
+    j = int(spec.direction)
+    if spec.kind.label == "quadratic":
+        b, d, c = spec.params.k, 2, 0.0
+    else:  # g = f(2x) - 8 f(x) for A, h = f(2x) - 2 f(x) for C
+        b, d, c = {"additive": (2, 1, 8.0), "cubic": (2, 3, 2.0)}[spec.kind.label]
+    w = power(b, d * n * j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, mag = f.evaluate(xs * power(b, -n * j))
+        if c:
+            vals2, mag2 = f.evaluate(xs * power(b, -(n - j) * j))
+            vals, mag = vals2 - c * vals, mag2 + c * mag
+        return w * vals, abs(w) * mag
 
 
 def test_iterate_quadratic_values():
+    """A limit stopped at its cap returns that level's iterate k^(2n) f(x / k^n)."""
     quartic = handle(lambda xs: xs**4)
     # k = 2, contracting, n = 2: 4^2 * (1/4)^4 = 1/16
-    val = iterate_quadratic(quartic, K2, Direction.CONTRACT, 1.0, 2)
-    assert val[0] == pytest.approx(0.0625, rel=1e-15)
+    spec = IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, K2, max_n=2)
+    vals, diag = take_limit(spec, quartic, 1.0)
+    assert vals[0] == pytest.approx(0.0625, rel=1e-15)
+    assert diag.n_used == 2 and not diag.converged
     square = handle(lambda xs: xs**2)
-    for n in (0, 1, 5):
-        assert iterate_quadratic(square, K2, Direction.CONTRACT, 3.0, n)[0] == pytest.approx(9.0)
+    for max_n in (1, 5):
+        spec = IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, K2, max_n=max_n)
+        vals, diag = take_limit(spec, square, 3.0)
+        assert vals[0] == pytest.approx(9.0)
+        assert diag == ConvergenceDiagnostics(n_used=1, last_step=0.0, converged=True)
 
 
 def test_iterate_additive_fixed_on_additive_maps():
     lin = handle(lambda xs: xs)
-    # g(x) = f(2x) - 8 f(x) = -6x, invariant under the scaling for every n
+    # g(x) = f(2x) - 8 f(x) = -6x, invariant under the scaling: level 1 repeats level 0
     for direction in Direction:
-        for n in (0, 1, 7):
-            assert iterate_additive(lin, direction, 1.0, n)[0] == pytest.approx(-6.0)
+        vals, diag = take_limit(IterationSpec(IterKind.ADDITIVE, direction), lin, np.array([1.0, -2.5]))
+        assert vals[:, 0] == pytest.approx([-6.0, 15.0])
+        assert diag == ConvergenceDiagnostics(n_used=1, last_step=0.0, converged=True)
 
 
 def test_iterate_cubic_fixed_on_cubic_maps():
     cubic = handle(lambda xs: xs**3)
+    # h(x) = f(2x) - 2 f(x) = 6x^3
     for direction in Direction:
-        for n in (0, 1, 7):
-            assert iterate_cubic(cubic, direction, 1.0, n)[0] == pytest.approx(6.0)
+        vals, diag = take_limit(IterationSpec(IterKind.CUBIC, direction), cubic, np.array([1.0, -2.5]))
+        assert vals[:, 0] == pytest.approx([6.0, -93.75])
+        assert diag == ConvergenceDiagnostics(n_used=1, last_step=0.0, converged=True)
 
 
-def test_iterate_rejects_negative_n():
-    for n, why in ((-1, ">= 0, got -1"), (1.5, "an integer, got 1.5"), (True, "an integer, got True")):
-        for direction in Direction:
-            with pytest.raises(InvalidInputError, match=f"n must be {why}"):
-                iterate_additive(handle(lambda xs: xs), direction, 1.0, n)
-
-
-@pytest.mark.parametrize("iterate", [iterate_additive, iterate_cubic])
-def test_contracting_odd_iterates_read_each_rung_rounded_once(iterate):
+@pytest.mark.parametrize("kind", [IterKind.ADDITIVE, IterKind.CUBIC], ids=lambda k: k.label)
+def test_contracting_odd_iterates_read_each_rung_rounded_once(kind):
     """Level n reads x / 2^(n-1) and x / 2^n, each rounded once, in the subnormals too."""
     seen = []
     f = handle(lambda xs: seen.append(xs.copy()) or xs)
     tiny = 5e-324
     xs = np.array([7 * tiny, -3 * tiny, 1e-310, -2.2250738585072014e-308, 0.7])
+    spec = IterationSpec(kind, Direction.CONTRACT)
     for n in (1, 2, 5, 9):
         seen.clear()
-        iterate(f, Direction.CONTRACT, xs, n)
+        rungs, _, _ = approximants._Ladder(spec, f, xs).block(range(n, n + 1), np.arange(xs.size))
+        assert rungs == range(n - 1, n + 1)
         want = [float(Fraction(x) / 2 ** (n - 1)) for x in xs]
         want += [float(Fraction(x) / 2**n) for x in xs]
         assert sorted(np.concatenate(seen).tolist()) == sorted(want)
@@ -104,10 +136,10 @@ def test_iteration_spec_validation():
         IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT)  # params missing
     with pytest.raises(InvalidInputError):
         IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, tol=-1e-3)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="max_n must be >= 1, got 0"):
         IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, max_n=0)
     for max_n in (2.5, True):
-        with pytest.raises(InvalidInputError, match="max_n must be an integer"):
+        with pytest.raises(InvalidInputError, match=f"max_n must be an integer, got {max_n!r}"):
             IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, max_n=max_n)
     for tol in (np.inf, np.nan, True):
         with pytest.raises(InvalidInputError, match="tol must be finite"):
@@ -162,7 +194,7 @@ def test_quadratic_limit_blows_up_where_its_weight_leaves_float64():
     spec = IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, EquationParams(10**11))
     vals, diag = take_limit(spec, even, xs)
     assert diag == ConvergenceDiagnostics(n_used=15, last_step=np.inf, converged=False)
-    assert same_bits(vals, _iterate_values(spec, even, xs, 14)[0])  # the last finite iterate
+    assert same_bits(vals, iterate_reference(spec, even, xs, 14)[0])  # the last finite iterate
     spec3 = IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, EquationParams(3))
     assert not take_limit(spec3, even, xs)[1].converged
 
@@ -250,10 +282,9 @@ def test_doubling_the_cap_does_not_move_converged_values():
     cfg = ExperimentConfig(noise=NoiseSpec("bounded_smooth", 0.01, 7))
     f = make_test_function(cfg)
     _, odd = parity_split(f)
-    xs = default_probes()
     for kind in (IterKind.ADDITIVE, IterKind.CUBIC):
-        a, da = take_limit(IterationSpec(kind, Direction.EXPAND, max_n=48), odd, xs)
-        b, db = take_limit(IterationSpec(kind, Direction.EXPAND, max_n=96), odd, xs)
+        a, da = take_limit(IterationSpec(kind, Direction.EXPAND, max_n=48), odd, PROBES)
+        b, db = take_limit(IterationSpec(kind, Direction.EXPAND, max_n=96), odd, PROBES)
         assert da.converged and db.converged
         assert np.array_equal(a, b)
 
@@ -295,20 +326,15 @@ def test_limit_function_handle_normalization():
 # --- decompositions -------------------------------------------------------
 
 
-def test_decompose_odd_requires_odd_input():
-    square = handle(lambda xs: xs**2)
-    with pytest.raises(InvalidInputError):
-        decompose_odd(square)
-
-
 def test_decompose_odd_exact_polynomial():
+    """An odd map: Q vanishes, and A and C, each called alone, stop at level 1."""
     f = handle(lambda xs: 2.0 * xs**3 + 5.0 * xs)
-    A, C = decompose_odd(f)
+    dec = decompose_full(f, K2)
     xs = np.linspace(-5, 5, 41)
-    assert np.max(np.abs(A(xs)[:, 0] - 5.0 * xs)) < 1e-10
-    assert np.max(np.abs(C(xs)[:, 0] - 2.0 * xs**3)) < 1e-9
-    assert A.diagnostics.n_used == 1
-    assert C.diagnostics.n_used == 1
+    assert not dec.Q(xs).any()
+    assert np.max(np.abs(dec.A(xs)[:, 0] - 5.0 * xs)) < 1e-10
+    assert np.max(np.abs(dec.C(xs)[:, 0] - 2.0 * xs**3)) < 1e-9
+    assert all(d.n_used == 1 for d in dec.diagnostics.values())
 
 
 def test_decompose_full_exact_polynomial():
@@ -330,9 +356,8 @@ def test_decompose_full_reassembles_near_solution():
     cfg = ExperimentConfig(noise=NoiseSpec("bounded_smooth", 0.01, 3))
     f = make_test_function(cfg)
     dec = decompose_full(f, K2)
-    xs = default_probes()
-    A, Q, C = dec.components_at(xs)
-    resid = np.abs(f(xs) - (A + Q + C))[:, 0]
+    A, Q, C = dec.components_at(PROBES)
+    resid = np.abs(f(PROBES) - (A + Q + C))[:, 0]
     assert np.max(resid) < 0.05  # within the perturbation scale
     assert all(d.converged for d in dec.diagnostics.values())
 
@@ -378,14 +403,6 @@ def test_component_diagnostics_cover_exactly_the_evaluated_points():
     assert dec.A.diagnostics == expected
 
 
-def test_default_probes_deterministic():
-    a = default_probes()
-    b = default_probes()
-    assert a.shape == (32,)
-    assert np.array_equal(a, b)
-    assert np.all((a >= -5.0) & (a <= 5.0))
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     a3=st.floats(min_value=-3, max_value=3, allow_nan=False),
@@ -407,9 +424,9 @@ def test_decompose_full_recovers_random_polynomials(a3, a2, a1):
 
 
 def take_limit_reference(spec, f, xs):
-    """take_limit's stopping rule with every level evaluated afresh, one spec."""
+    """take_limit's stopping rule with every level evaluated afresh by iterate_reference."""
     space = f.space
-    prev, _ = _iterate_values(spec, f, xs, 0)
+    prev, _ = iterate_reference(spec, f, xs, 0)
     result = prev.copy()
     n_used = np.zeros(xs.size, dtype=int)
     last_step = np.zeros(xs.size)
@@ -419,7 +436,7 @@ def take_limit_reference(spec, f, xs):
     active = np.arange(xs.size)
     eps = np.finfo(float).eps
     for n in range(1, spec.cap + 1):
-        cur, mag = _iterate_values(spec, f, xs[active], n)
+        cur, mag = iterate_reference(spec, f, xs[active], n)
         with np.errstate(invalid="ignore"):
             step = space.pnorm(cur - prev[active])
         finite = np.isfinite(cur).all(axis=-1)

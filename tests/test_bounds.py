@@ -18,6 +18,7 @@ from stabeq import (
     DivergentSeriesError,
     EquationParams,
     InvalidInputError,
+    IterKind,
     PNormSpace,
     PowerBound,
     bound_table,
@@ -27,9 +28,9 @@ from stabeq import (
     psi_tilde_numeric,
     select_direction,
     select_directions,
-    series_step_ratio,
     stability_bound,
 )
+from stabeq.bounds import _series_geometry
 
 # Residual decomposition terms of the odd-part relation, instantiated at the
 # two k values used below: absolute coefficients and (a_m, b_m) multipliers.
@@ -225,8 +226,8 @@ def test_lenient_context_marks_unusable_slot_only():
     for call in (
         lambda: psi_tilde_bound("a", zero, 1.0),
         lambda: psi_tilde_numeric("a", zero, 1.0, 5),
-        lambda: series_step_ratio("a", zero),
-        *(lambda kind=kind: stability_bound(kind, zero, 1.0) for kind in ("additive_g", "odd_combined", "full")),
+        lambda: step_ratio("a", zero),
+        lambda: stability_bound("full", zero, 1.0),
     ):
         with pytest.raises(CriticalExponentError):
             call()
@@ -235,14 +236,20 @@ def test_lenient_context_marks_unusable_slot_only():
 # --- series values --------------------------------------------------------
 
 
+def step_ratio(letter, ctx):
+    """The series' rounded step ratio rho, the bound on term(i+1)/term(i)."""
+    kind = next(kind for kind in IterKind if kind.letter == letter)
+    return _series_geometry(kind, ctx)[3]
+
+
 def test_step_ratio_known_values():
     ctx = ctx_for(2, 1.0, PowerBound("constant", 1.0))
-    assert series_step_ratio("a", ctx) == pytest.approx(0.5)
-    assert series_step_ratio("c", ctx) == pytest.approx(0.125)
-    assert series_step_ratio("e", ctx) == pytest.approx(0.25)
+    assert step_ratio("a", ctx) == pytest.approx(0.5)
+    assert step_ratio("c", ctx) == pytest.approx(0.125)
+    assert step_ratio("e", ctx) == pytest.approx(0.25)
     ctx3 = ctx_for(2, 1.0, PowerBound("sum", 1.0, 0.0, 3.0))
-    assert series_step_ratio("e", ctx3) == pytest.approx(0.5)
-    assert series_step_ratio("a", ctx_for(2, 1.0, PowerBound("constant", 0.0))) == 0.0
+    assert step_ratio("e", ctx3) == pytest.approx(0.5)
+    assert step_ratio("a", ctx_for(2, 1.0, PowerBound("constant", 0.0))) == 0.0
 
 
 def test_psi_constant_control_frozen_values():
@@ -343,11 +350,11 @@ def test_psi_divergent_direction_raises():
         with pytest.raises(DivergentSeriesError):
             psi_tilde_numeric("a", ctx, 1.0, 10)
     ctx = ctx_for(2, 0.75, PowerBound("sum", 1.0, 1.0, 0.0), directions=expand)
-    assert series_step_ratio("a", ctx) == 0.9999999999999999
+    assert step_ratio("a", ctx) == 0.9999999999999999
     # One ulp above the critical degree the series converges, but its step
     # ratio rounds to 1, so no float64 tail bound exists.
     ctx = ctx_for(2, 0.5, PowerBound("sum", 1.0, float(np.nextafter(1.0, 2.0)), 0.0))
-    assert series_step_ratio("a", ctx) == 1.0
+    assert step_ratio("a", ctx) == 1.0
     with pytest.raises(InvalidInputError, match="rounds to 1.0"):
         psi_tilde_bound("a", ctx, 1.0)
 
@@ -482,14 +489,8 @@ def test_bound_formulas_compose_from_series():
     psa = psi_tilde_bound("a", ctx, x)
     psc = psi_tilde_bound("c", ctx, x)
     pse = psi_tilde_bound("e", ctx, x)
-    assert stability_bound("additive_g", ctx, x) == pytest.approx(
-        M**5 / 2.0 * psa ** (1 / p), rel=1e-12
-    )
-    assert stability_bound("cubic_h", ctx, x) == pytest.approx(
-        M**5 / 8.0 * psc ** (1 / p), rel=1e-12
-    )
-    assert stability_bound("odd_combined", ctx, x) == pytest.approx(
-        M**6 / 48.0 * (4.0 * psa ** (1 / p) + psc ** (1 / p)), rel=1e-12
+    assert stability_bound("quadratic", ctx, x) == pytest.approx(
+        M / (2.0 * 9.0) * pse ** (1 / p), rel=1e-12
     )
     want_full = M**8 / 96.0 * (
         4.0 * (2.0 * psa) ** (1 / p) + (2.0 * psc) ** (1 / p)
@@ -500,7 +501,7 @@ def test_bound_formulas_compose_from_series():
 def test_bounds_linear_in_theta_and_homogeneous_in_x():
     base = ctx_for(2, 0.5, PowerBound("sum", 0.3, 4.0, 0.0))
     doubled = ctx_for(2, 0.5, PowerBound("sum", 0.6, 4.0, 0.0))
-    for kind in ("additive_g", "cubic_h", "odd_combined", "full"):
+    for kind in BoundKind:
         b1 = stability_bound(kind, base, 1.3)
         b2 = stability_bound(kind, doubled, 1.3)
         assert b2 == pytest.approx(2.0 * b1, rel=1e-12)

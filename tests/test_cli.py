@@ -234,6 +234,18 @@ def test_out_of_range_flags_exit_2_before_the_config_is_read(runner, tmp_path, f
     assert result.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("where", ["flag", "config", "grid"])
+def test_integers_past_float64_exit_2_naming_the_field(runner, tmp_path, where):
+    big = str(10**400)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"k": {big}}}')
+    args = {"flag": ("--k", big), "config": ("--config", str(cfg)), "grid": (f"--grid=-1:1:{big}",)}
+    result = invoke(runner, "experiment", *args[where])
+    assert result.exit_code == 2
+    field = "grid count" if where == "grid" else "k"
+    assert f"{field} must be finite in float64, got {big}" in result.stderr
+
+
 def test_config_written_by_to_json_loads_at_dim_4(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(to_json(ExperimentConfig(codomain_dim=4))))

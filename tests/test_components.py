@@ -17,9 +17,10 @@ from stabeq import (
     PNormSpace,
     PowerBound,
     decompose_full,
+    psi_tilde_bound,
     select_directions,
-    series_step_ratio,
 )
+from stabeq.bounds import _series_geometry
 
 SPACE1 = PNormSpace(1, 1.0)
 XS = np.array([-2.5, -1.0, -0.3, 0.0, 0.7, 1.0, 3.0])
@@ -61,6 +62,9 @@ def test_the_degree_is_the_critical_exponent_of_the_series(kind):
     assert select_directions(PowerBound("sum", 1.0, 0.0, d - 0.5))[slot] is Direction.EXPAND
     with pytest.raises(CriticalExponentError):
         select_directions(PowerBound("sum", 1.0, 0.0, d))
+    # The series is named by the kind or by its letter.
+    ctx = BoundContext.create(EquationParams(2), SPACE1, PowerBound("sum", 1.0, 0.0, d + 0.5))
+    assert psi_tilde_bound(kind, ctx, XS).tolist() == psi_tilde_bound(kind.letter, ctx, XS).tolist()
     for k in (2, -3, 5):
         for p in (1.0, 0.5):
             for direction in Direction:
@@ -68,8 +72,7 @@ def test_the_degree_is_the_critical_exponent_of_the_series(kind):
                     EquationParams(k), PNormSpace(1, p), PowerBound("sum", 1.0, 0.0, d),
                     (direction,) * 3,
                 )
-                assert series_step_ratio(kind.letter, ctx) == pytest.approx(1.0, rel=1e-14)
-                assert series_step_ratio(kind, ctx) == series_step_ratio(kind.letter, ctx)
+                assert _series_geometry(kind, ctx)[3] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_diagnostics_are_keyed_by_the_labels_in_member_order():

@@ -71,12 +71,6 @@ def test_handle_scalar_and_array_calls():
     assert np.all(f(grid) == 1.0)
 
 
-def test_from_scalar_wraps_python_callable():
-    f = FunctionHandle.from_scalar(lambda x: x**3, SPACE1)
-    assert f(2.0)[0] == 8.0
-    assert np.allclose(f(np.array([1.0, -2.0]))[:, 0], [1.0, -8.0])
-
-
 def test_polynomial_vector_coefficients():
     space = PNormSpace(2, 1.0)
     f = FunctionHandle.polynomial(space, (1.0, 0.0), (0.0, 1.0), 0.0)

@@ -145,6 +145,28 @@ def test_what_is_not_a_finite_number_is_invalid_input(build):
 
 
 @pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ExperimentConfig(tol=10**5000), "tol must be finite and >= 0, got an int of 5001 digits"),
+        (lambda: ExperimentConfig(max_n=10**5000), "max_n must be finite in float64, got an int of 5001 digits"),
+        (lambda: EquationParams(1 - 10**5000), "k must be finite in float64, got an int of 5000 digits"),
+        (lambda: EquationParams(10**4300), "k must be finite in float64, got an int of 4301 digits"),
+        (lambda: ExperimentConfig(p=10**5000), "p must satisfy 0 < p <= 1, got an int of 5001 digits"),
+        (
+            lambda: ExperimentConfig(poly=((10**5000,), 1.0, 1.0)),
+            "vectors of finite numbers, got a tuple holding an int too long to print",
+        ),
+    ],
+    ids=["tol", "max_n", "k-negative", "k-4301-digits", "p", "poly"],
+)
+def test_an_int_too_long_to_print_is_shown_by_its_digit_count(build, message):
+    """Python will not print an int past 4,300 digits; the message still names the field."""
+    with pytest.raises(InvalidInputError) as err:
+        build()
+    assert str(err.value).endswith(message)
+
+
+@pytest.mark.parametrize(
     "poly,stored",
     [
         (([1.0, 2.0], 1.0, 1.0), ((1.0, 2.0), 1.0, 1.0)),
@@ -301,8 +323,16 @@ DEFAULT_NUMBERS = dict(
 @example({**DEFAULT_NUMBERS, "a3": np.int64(1)})
 @example({**DEFAULT_NUMBERS, "codomain_dim": 2, "a2": [1.0, 2.0]})
 @example({**DEFAULT_NUMBERS, "codomain_dim": 2, "a2": np.array([1.0, 2.0])})
+@example({**DEFAULT_NUMBERS, "k": 10**400})
+@example({**DEFAULT_NUMBERS, "max_n": 10**400})
+@example({**DEFAULT_NUMBERS, "count": 10**400})
+@example({**DEFAULT_NUMBERS, "seed": 10**400})
+@example({**DEFAULT_NUMBERS, "codomain_dim": 10**400})
+@example({**DEFAULT_NUMBERS, "tol": 10**5000})
+@example({**DEFAULT_NUMBERS, "max_n": 10**5000})
 def test_every_config_the_api_builds_reads_back_from_its_json(v):
-    """A config either fails to build, or it hashes and its JSON is strict and reads back equal."""
+    """A config either fails to build, or it hashes, holds only numbers finite
+    in float64, and its JSON is strict and reads back equal."""
     try:
         cfg = ExperimentConfig(
             k=v["k"],
@@ -318,6 +348,8 @@ def test_every_config_the_api_builds_reads_back_from_its_json(v):
     except InvalidInputError:
         return
     hash(cfg)
+    ints = (cfg.k, cfg.codomain_dim, cfg.noise.seed, cfg.grid.count, cfg.max_n)
+    assert all(map(is_finite_number, ints))
     blob = json.dumps(to_json(cfg), allow_nan=False)
     assert ExperimentConfig.from_json(json.loads(blob)) == cfg
 
