@@ -26,7 +26,6 @@ from .bounds import (
     corollary_constant,
     full_bound_power,
     psi_tilde_bound,
-    psi_tilde_numeric,
     select_direction,
     select_directions,
     stability_bound,
@@ -109,7 +108,6 @@ __all__ = [
     "parity_split",
     "power_sum_residual",
     "psi_tilde_bound",
-    "psi_tilde_numeric",
     "report_to_csv",
     "report_to_json",
     "residual",

@@ -36,7 +36,7 @@ import numpy as np
 from .approximants import Direction, IterKind
 from .equations import EquationParams
 from .errors import CriticalExponentError, DivergentSeriesError, InvalidInputError
-from .errors import check_integer, check_nonnegative
+from .errors import check_nonnegative
 from .quasinorm import PNormSpace
 
 _FORMS = ("constant", "sum", "product")
@@ -169,11 +169,6 @@ def _maybe_directions(phi: PowerBound) -> tuple[Direction | None, ...]:
     return tuple(out)
 
 
-def quadratic_series_vanishes(phi: PowerBound) -> bool:
-    """True when phi(0, y) == 0, making the quadratic bound trivially zero."""
-    return not _series_exponents(IterKind.QUADRATIC, phi)
-
-
 @dataclass(frozen=True)
 class BoundContext:
     """Everything a bound evaluation needs: equation, space, control, directions."""
@@ -197,7 +192,8 @@ class BoundContext:
 
     @property
     def quad_zero(self) -> bool:
-        return quadratic_series_vanishes(self.phi)
+        """True when phi(0, y) == 0, making the quadratic bound trivially zero."""
+        return not _series_exponents(IterKind.QUADRATIC, self.phi)
 
 
 def _as_series_kind(kind) -> IterKind:
@@ -255,8 +251,8 @@ def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, i
     return w, arg_scale, j, float(rho)
 
 
-def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
-    """The series at |x|, summed in chunks of _CHUNK terms.
+def psi_tilde_bound(kind, ctx: BoundContext, x):
+    """The comparison series at |x|: terms in chunks of _CHUNK, plus a geometric tail bound.
 
     One degree lam in the series' slot (_series_exponents) makes each term
     homogeneous, phi(a_m t xi, b_m t xi)^p = t^(lam p) phi(a_m xi, b_m xi)^p,
@@ -266,14 +262,13 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
     point.  It diverges iff a degree e has j (e - d) <= 0 (direction j,
     critical exponent d): exact, unlike the rounded rho.
 
-    With n_terms, the partial sum of the first n_terms terms.  Without, terms
-    are added until the tail bound (last term * rho/(1-rho)) is below 1e-15
-    of the running sum at every point, and then that tail bound is added;
-    nothing rounds the float64 sum up, so it can fall a few ulps below the
-    exact sum.  Summing stops before the first term that is not finite in
-    float64: for a huge |k| the argument scale k^i overflows within a chunk
-    while its weight underflows, and as term(i+1) <= rho * term(i) the
-    terms left out are negligible.
+    Terms are added until the tail bound (last term * rho/(1-rho)) is below
+    1e-15 of the running sum at every point, and then that tail bound is
+    added; nothing rounds the float64 sum up, so it can fall a few ulps
+    below the exact sum.  Summing stops before the first term that is not
+    finite in float64: for a huge |k| the argument scale k^i overflows
+    within a chunk while its weight underflows, and as term(i+1) <=
+    rho * term(i) the terms left out are negligible.
     """
     kind = _as_series_kind(kind)
     w, arg_scale, j, rho = _series_geometry(kind, ctx)
@@ -295,11 +290,10 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
     p = ctx.space.p
 
     def summed(pts):
-        start = i = (1 + j) // 2
-        stop = start + (_TERM_CAP if n_terms is None else n_terms)
+        start = (1 + j) // 2
         total, last = np.zeros_like(pts), np.zeros_like(pts)
-        while i < stop:
-            idx = np.arange(i, min(i + _CHUNK, stop)).astype(float)
+        for i in range(start, start + _TERM_CAP, _CHUNK):
+            idx = np.arange(i, i + _CHUNK).astype(float)
             with np.errstate(over="ignore", invalid="ignore"):
                 xi = (arg_scale**idx)[:, None] * pts[None, :]  # (T, N)
                 acc = np.zeros_like(xi)
@@ -316,12 +310,9 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
             # sum would add a lone point's terms pairwise.
             total += np.cumsum(terms, axis=0)[-1]
             last = terms[-1]
-            i += _CHUNK
-            if n_finite < idx.size or (
-                n_terms is None and np.all(last * tail_ratio <= _TAIL_REL * total + _TINY)
-            ):
+            if n_finite < _CHUNK or np.all(last * tail_ratio <= _TAIL_REL * total + _TINY):
                 break
-        return total + last * tail_ratio if n_terms is None else total
+        return total + last * tail_ratio
 
     total = None
     if len(degrees) == 1 and (psi1 := summed(np.ones(1))[0]) >= _TINY:
@@ -339,22 +330,6 @@ def _series_sum(kind, ctx: BoundContext, x, n_terms: int | None):
         raise InvalidInputError(f"{where} underflows float64 at x = {float(flat[lost][0])!r}")
     out = total.reshape(xs.shape)
     return float(out) if xs.ndim == 0 else out
-
-
-def psi_tilde_numeric(kind, ctx: BoundContext, x, n_terms: int):
-    """Partial sum of the comparison series: its first n_terms terms.
-
-    The start index is 0 for EXPAND and 1 for CONTRACT.  Raises
-    DivergentSeriesError when the direction does not make the series
-    converge (partial sums of a divergent comparison series certify nothing).
-    """
-    check_integer("n_terms", n_terms, 1)
-    return _series_sum(kind, ctx, x, n_terms)
-
-
-def psi_tilde_bound(kind, ctx: BoundContext, x):
-    """Upper bound on the full series: adaptive partial sum + geometric tail."""
-    return _series_sum(kind, ctx, x, None)
 
 
 class BoundKind(Enum):
@@ -376,7 +351,10 @@ def stability_bound(kind, ctx: BoundContext, x):
     controls here the series are even in x, so the symmetrization doubles.
     """
     if not isinstance(kind, BoundKind):
-        kind = BoundKind(str(kind).lower())
+        try:
+            kind = BoundKind(str(kind).lower())
+        except ValueError:
+            raise InvalidInputError(f"unknown bound kind {kind!r}") from None
     xs = np.asarray(x, dtype=float)
     M = ctx.space.modulus
     p = ctx.space.p
@@ -512,7 +490,7 @@ def full_bound_power(ctx: BoundContext, x_norm: float) -> float:
     out = M**8 * phi.theta / (6.0 * k2 * abs(1.0 - k2)) * sum(
         _odd_constant(ctx, kind, phi.terms(), x_norm) for kind in _ODD_KINDS
     )
-    if not quadratic_series_vanishes(phi):
+    if not ctx.quad_zero:
         out += M**3 * phi.theta / 2.0 * corollary_constant("quadratic_factor", ctx, x_norm)
     return float(out)
 
@@ -524,7 +502,7 @@ def bound_table(ctx: BoundContext, xs) -> dict:
     per_x = stability_bound(BoundKind.FULL, ctx, xs)
     phi = ctx.phi
     names = [f"{_FAMILY[r > 0, s > 0]}_{kind.label}" for r, s in phi.terms() for kind in _ODD_KINDS]
-    if not quadratic_series_vanishes(phi):
+    if not ctx.quad_zero:
         names.append("quadratic_factor")
     return {
         "kind": "full",

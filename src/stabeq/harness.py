@@ -108,7 +108,10 @@ class GridSpec:
             raise InvalidInputError("grid needs finite lo < hi")
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.count)
+        try:
+            return np.linspace(self.lo, self.hi, self.count)
+        except (MemoryError, ValueError):  # numpy's allocation or size check
+            raise InvalidInputError(f"grid count {self.count} does not fit in memory") from None
 
     def pairs(self) -> np.ndarray:
         pts = self.points()
@@ -243,13 +246,15 @@ def calibrate_theta(
     """Smallest theta (times a 1.01 safety factor) covering the grid residual.
 
     theta = 1.01 * max pnorm(D_f(x,y)) / phi_unit(x,y) over grid points where
-    the unit control is positive, reduced block by block (pair_blocks), so
-    memory does not grow with the grid.  Points where phi_unit = 0 must have a
-    residual at rounding-dust level (<= 1e-12 of the local evaluation scale);
-    a genuine residual there raises UnboundablePerturbationError, since no
-    amplitude makes the control cover it.  The result certifies domination on
-    the grid only, not off it.  A residual or unit control that is not finite
-    in float64 (the test map or the control overflows on a huge grid) raises
+    the unit control is positive, reduced block by block (pair_blocks).  A
+    block holds max(1, 2^14 // count) rows of count pairs, so past 16,384
+    points memory grows linearly with the count, never with its square.
+    Points where phi_unit = 0 must have a residual at rounding-dust level
+    (<= 1e-12 of the local evaluation scale); a genuine residual there
+    raises UnboundablePerturbationError, since no amplitude makes the
+    control cover it.  The result certifies domination on the grid only, not
+    off it.  A residual or unit control that is not finite in float64 (the
+    test map or the control overflows on a huge grid) raises
     InvalidInputError naming the first such pair.
     """
     kind = EquationKind.general_mixed(params)

@@ -25,7 +25,6 @@ from stabeq import (
     corollary_constant,
     full_bound_power,
     psi_tilde_bound,
-    psi_tilde_numeric,
     select_direction,
     select_directions,
     stability_bound,
@@ -44,6 +43,9 @@ NINE_TERMS = {
         [(1, 1), (2, 2), (2, 1), (1, 3), (1, 2), (4, 1), (-2, 1), (7, 1), (-5, 1)],
     ),
 }
+
+
+EPS = np.finfo(float).eps
 
 
 def ctx_for(k, p, phi, directions=None):
@@ -120,7 +122,6 @@ ORACLE_CASES = [
 def test_psi_matches_a_50_digit_oracle(k, p, phi):
     ctx = ctx_for(k, p, phi)
     xs = np.linspace(-5.0, 5.0, 101)
-    eps = np.finfo(float).eps
     for slot, kind in enumerate("eac"):
         got = psi_tilde_bound(kind, ctx, xs)
         j = int(ctx.directions[slot])
@@ -130,7 +131,7 @@ def test_psi_matches_a_50_digit_oracle(k, p, phi):
                 assert g == 0.0, (kind, x)
                 continue
             assert abs(mp.mpf(g) / want - 1) <= 2e-15, (kind, x)
-            assert g >= want * (1 - 4 * eps), (kind, x)
+            assert g >= want * (1 - 4 * EPS), (kind, x)
 
 
 # --- control family -------------------------------------------------------
@@ -225,7 +226,6 @@ def test_lenient_context_marks_unusable_slot_only():
     assert stability_bound("quadratic", zero, [0.0, 1.0]).tolist() == [0.0, 0.0]
     for call in (
         lambda: psi_tilde_bound("a", zero, 1.0),
-        lambda: psi_tilde_numeric("a", zero, 1.0, 5),
         lambda: step_ratio("a", zero),
         lambda: stability_bound("full", zero, 1.0),
     ):
@@ -261,39 +261,49 @@ def test_psi_constant_control_frozen_values():
 
 
 def test_psi_partial_sums_match_reference_loops():
+    """psi over a batch of x against the reference loops summed to 300 terms.
+
+    300 terms converge every series here, and 8^300 is still finite.  The
+    last two controls have two degrees below p = 1, so psi_a and psi_c are
+    summed at each point, not scaled from psi(1); under sum:2:2.5 A
+    contracts and C expands.
+    """
     cases = [
         (2, 1.0, PowerBound("constant", 0.7)),
         (2, 0.5, PowerBound("sum", 1.2, 4.0, 4.0)),
         (3, 0.75, PowerBound("sum", 0.4, 0.0, 0.5)),
         (2, 1.0, PowerBound("product", 0.9, 2.0, 2.5)),
         (3, 1.0, PowerBound("sum", 1.0, 0.25, 0.5)),
+        (3, 0.5, PowerBound("sum", 1.0, 2.0, 2.5)),
+        (2, 0.75, PowerBound("sum", 1.0, 0.25, 0.5)),
     ]
+    xs = np.array([0.7, 1.0, 2.3, -2.3, 4.9])
     for k, p, phi in cases:
         ctx = ctx_for(k, p, phi)
-        for x in (0.7, 1.0, 2.3):
-            for base, kind in ((2.0, "a"), (8.0, "c")):
-                slot = {"e": 0, "a": 1, "c": 2}[kind]
-                j = int(ctx.directions[slot])
-                got = psi_tilde_numeric(kind, ctx, x, 40)
-                want = psi_ref_odd(base, k, p, phi, x, j, 40)
-                assert got == pytest.approx(want, rel=1e-12), (k, p, phi.form, kind)
-            if phi.y_slot_exponent() is not None:
-                j = int(ctx.directions[0])
-                got = psi_tilde_numeric("e", ctx, x, 40)
-                want = psi_ref_quadratic(k, p, phi, x, j, 40)
-                assert got == pytest.approx(want, rel=1e-12)
+        for slot, kind in enumerate("eac"):
+            if kind == "e" and phi.y_slot_exponent() is None:
+                continue
+            j = int(ctx.directions[slot])
+            for x, got in zip(xs, psi_tilde_bound(kind, ctx, xs)):
+                if kind == "e":
+                    want = psi_ref_quadratic(k, p, phi, x, j, 300)
+                else:
+                    want = psi_ref_odd({"a": 2.0, "c": 8.0}[kind], k, p, phi, x, j, 300)
+                assert abs(got / want - 1) <= 1e-14, (k, p, phi, kind, x)
+                assert got >= want * (1 - 4 * EPS), (k, p, phi, kind, x)
 
 
 def test_psi_bound_dominates_partial_sums_and_converges():
-    ctx = ctx_for(2, 1.0, PowerBound("constant", 1.0))
+    phi = PowerBound("constant", 1.0)
+    ctx = ctx_for(2, 1.0, phi)
     full = psi_tilde_bound("a", ctx, 1.0)
     prev = 0.0
     for n in (1, 2, 5, 20, 60):
-        partial = psi_tilde_numeric("a", ctx, 1.0, n)
+        partial = psi_ref_odd(2.0, 2, 1.0, phi, 1.0, -1, n)
         assert partial >= prev
         assert full >= partial
         prev = partial
-    assert full == pytest.approx(psi_tilde_numeric("a", ctx, 1.0, 200), rel=1e-12)
+    assert full == pytest.approx(psi_ref_odd(2.0, 2, 1.0, phi, 1.0, -1, 200), rel=1e-12)
 
 
 def test_psi_vectorizes_over_x():
@@ -315,9 +325,6 @@ def test_psi_of_a_point_does_not_depend_on_its_batch(k, p, phi):
         lone = [psi_tilde_bound(kind, ctx, float(x)) for x in xs]
         assert vec.tolist() == lone
         assert psi_tilde_bound(kind, ctx, -xs).tolist() == lone
-        assert psi_tilde_numeric(kind, ctx, xs, 100).tolist() == [
-            psi_tilde_numeric(kind, ctx, float(x), 100) for x in xs
-        ]
 
 
 def test_psi_zero_theta_and_vanishing_quadratic():
@@ -336,10 +343,9 @@ def test_psi_divergent_direction_raises():
         PowerBound("sum", 1.0, 0.0, 4.0),
         directions=(Direction.EXPAND, Direction.EXPAND, Direction.EXPAND),
     )
-    with pytest.raises(DivergentSeriesError):
-        psi_tilde_numeric("a", ctx, 1.0, 10)
-    with pytest.raises(DivergentSeriesError):
-        psi_tilde_bound("e", ctx, 1.0)
+    for kind in "ae":
+        with pytest.raises(DivergentSeriesError):
+            psi_tilde_bound(kind, ctx, 1.0)
     # A critical degree under the wrong direction diverges whatever its rounded
     # step ratio: at p = 0.75 that ratio is 1 - 2^-53, below 1.
     expand = (Direction.EXPAND, Direction.EXPAND, Direction.EXPAND)
@@ -347,8 +353,6 @@ def test_psi_divergent_direction_raises():
         ctx = ctx_for(2, p, PowerBound("sum", 1.0, 1.0, 0.0), directions=expand)
         with pytest.raises(DivergentSeriesError):
             psi_tilde_bound("a", ctx, 1.0)
-        with pytest.raises(DivergentSeriesError):
-            psi_tilde_numeric("a", ctx, 1.0, 10)
     ctx = ctx_for(2, 0.75, PowerBound("sum", 1.0, 1.0, 0.0), directions=expand)
     assert step_ratio("a", ctx) == 0.9999999999999999
     # One ulp above the critical degree the series converges, but its step
@@ -359,12 +363,12 @@ def test_psi_divergent_direction_raises():
         psi_tilde_bound("a", ctx, 1.0)
 
 
-def test_psi_numeric_stops_at_the_last_finite_term_for_huge_k():
+def test_psi_stops_at_the_last_finite_term_for_huge_k():
     # The suite turns RuntimeWarning into an error: an overflow in the
     # argument scale k^i would fail this test.
-    ctx = ctx_for(10**11, 1.0, PowerBound("constant", 1.0))
-    assert psi_tilde_numeric("e", ctx, 1.0, 64) == 1.0
-    assert psi_tilde_numeric("e", ctx, 1.0, 64) <= psi_tilde_bound("e", ctx, 1.0)
+    phi = PowerBound("constant", 1.0)
+    ctx = ctx_for(10**11, 1.0, phi)
+    assert psi_tilde_bound("e", ctx, 1.0) == 1.0 == psi_ref_quadratic(10**11, 1.0, phi, 1.0, -1, 5)
     # psi(1) underflows to 0 here, so |x|^(40p) psi(1) would lose psi(1e10) or
     # give inf * 0: every point is summed where it is, x = 1 (psi about
     # 1e-418 at p = 1) raises rather than bound by 0, and x = 1e100
@@ -377,8 +381,6 @@ def test_psi_numeric_stops_at_the_last_finite_term_for_huge_k():
         for x in (1e100, [1.0, 1e200]):
             with pytest.raises(InvalidInputError, match="overflows float64 at term 1"):
                 psi_tilde_bound("e", ctx, x)
-            with pytest.raises(InvalidInputError, match="overflows float64 at term 1"):
-                psi_tilde_numeric("e", ctx, x, 5)
 
 
 def test_series_stopping_where_a_chunk_starts_past_float64_keeps_its_tail_bound():
@@ -400,8 +402,6 @@ def test_a_positive_series_that_underflows_raises_and_exact_zeros_stay():
     for x in (1.0, [0.0, 1.0], -1e-30):
         with pytest.raises(InvalidInputError, match="series 'e' .* underflows float64 at x = "):
             psi_tilde_bound("e", ctx, x)
-    with pytest.raises(InvalidInputError, match="underflows float64 at x = 1.0"):
-        psi_tilde_numeric("e", ctx, 1.0, 5)
     # Summed once at |x| = 1, then scaled: |1e-100|^4 psi(1) underflows too.
     homogeneous = ctx_for(2, 1.0, PowerBound("sum", 1.0, 4.0, 4.0))
     assert psi_tilde_bound("a", homogeneous, 1.0) > 0.0
@@ -417,13 +417,10 @@ def test_a_positive_series_that_underflows_raises_and_exact_zeros_stay():
     assert psi_tilde_bound("e", ctx_for(2, 1.0, PowerBound("constant", 1.0)), 0.0) > 0.0
 
 
-def test_psi_numeric_rejects_bad_term_count():
+def test_psi_rejects_unknown_kind_and_nonfinite_x():
     ctx = ctx_for(2, 1.0, PowerBound("constant", 1.0))
-    for n_terms in (0, 2.5, True):  # a count, never a float or a bool
-        with pytest.raises(InvalidInputError, match="n_terms must be"):
-            psi_tilde_numeric("a", ctx, 1.0, n_terms)
-    with pytest.raises(InvalidInputError):
-        psi_tilde_numeric("zeta", ctx, 1.0, 5)
+    with pytest.raises(InvalidInputError, match="unknown series kind 'zeta'"):
+        psi_tilde_bound("zeta", ctx, 1.0)
     # A non-finite x is rejected by name under every control, theta = 0 too.
     for phi in (
         PowerBound("constant", 1.0),
@@ -435,7 +432,6 @@ def test_psi_numeric_rejects_bad_term_count():
         for x in (np.nan, np.inf, -np.inf, [1.0, np.nan, 2.0]):
             for call in (
                 *(lambda s=s: psi_tilde_bound(s, ctx, x) for s in "aec"),
-                lambda: psi_tilde_numeric("a", ctx, x, 5),
                 *(lambda kind=kind: stability_bound(kind, ctx, x) for kind in BoundKind),
             ):
                 with pytest.raises(InvalidInputError, match="x must be finite"):
@@ -514,7 +510,7 @@ def test_bound_kind_accepts_strings_and_rejects_junk():
     assert stability_bound(BoundKind.QUADRATIC, ctx, 1.0) == stability_bound(
         "quadratic", ctx, 1.0
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInputError, match="^unknown bound kind 'septic'$"):
         stability_bound("septic", ctx, 1.0)
 
 

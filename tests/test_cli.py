@@ -246,6 +246,16 @@ def test_integers_past_float64_exit_2_naming_the_field(runner, tmp_path, where):
     assert f"{field} must be finite in float64, got {big}" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["experiment", "check"])
+@pytest.mark.parametrize("count", [10**18, 10**20])
+def test_a_grid_count_past_memory_exits_2_naming_it(runner, command, count):
+    # 10**18 points (6.94 EiB) exceed any 64-bit address space and 10**20
+    # fails numpy's size check, so neither allocates anything.
+    result = invoke(runner, command, f"--grid=-1:1:{count}")
+    assert result.exit_code == 2
+    assert result.stderr == f"error: grid count {count} does not fit in memory\n"
+
+
 def test_config_written_by_to_json_loads_at_dim_4(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(to_json(ExperimentConfig(codomain_dim=4))))
