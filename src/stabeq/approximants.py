@@ -29,6 +29,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
+from . import equations
 from .equations import EquationParams, FunctionHandle, parity_split
 from .errors import InvalidInputError, check_integer, check_nonnegative
 from .quasinorm import PNormSpace
@@ -163,10 +164,10 @@ class ConvergenceDiagnostics:
     converged: bool
 
     def merge(self, other: "ConvergenceDiagnostics") -> "ConvergenceDiagnostics":
-        """The worst case of both records."""
+        """The worst case of both records; a NaN last_step stays NaN, as in np.max."""
         return ConvergenceDiagnostics(
             n_used=max(self.n_used, other.n_used),
-            last_step=max(self.last_step, other.last_step),
+            last_step=float(np.maximum(self.last_step, other.last_step)),
             converged=self.converged and other.converged,
         )
 
@@ -272,15 +273,14 @@ class _Limit:
         self._last_step[pts] = np.where(kept, step[at], np.inf)
         self._converged[pts] = ok[at]
 
-    def finish(self, xs: np.ndarray) -> tuple[np.ndarray, ConvergenceDiagnostics]:
+    def finish(self) -> tuple[np.ndarray, ConvergenceDiagnostics]:
+        """The (N, dim) limits and their worst case."""
         diag = ConvergenceDiagnostics(
             n_used=int(self._n_used.max(initial=0)),
             last_step=float(self._last_step.max(initial=0.0)),
             converged=bool(self._converged.all()),
         )
-        result = self._result
-        vals = result[0] if xs.ndim == 0 else result.reshape(xs.shape + result.shape[-1:])
-        return vals, diag
+        return self._result, diag
 
 
 def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandle, x):
@@ -315,6 +315,12 @@ def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandl
     arithmetic is that of taking it alone, so values and diagnostics are
     too; a point may be read up to _BLOCK_LEVELS - 1 levels past its stop.
 
+    The points are taken in chunks of equations._BLOCK // (2 (_BLOCK_LEVELS
+    + 1) dim), the rungs one block reads at x and -x, so one block's arrays
+    keep to the float budget of pair_blocks' tiles at any number of points.
+    Each point's arithmetic is that of taking it alone, and the chunks'
+    diagnostics are merged, so chunking changes neither.
+
     spec may also be a tuple of odd-kind specs with one direction (A's and
     C's).  They read the same rungs, so they run on one _Ladder: each
     block's f-values serve every spec still live at the point, and a tuple
@@ -328,6 +334,19 @@ def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandl
         raise InvalidInputError("a ladder takes one spec, or odd-kind specs of one direction")
     xs = np.asarray(x, dtype=float)
     X = xs.reshape(-1)
+    size = max(1, equations._BLOCK // (2 * (_BLOCK_LEVELS + 1) * f.space.dim))
+    # One chunk, empty, when there are no points.
+    chunks = [_take_points(specs, f, X[lo : lo + size]) for lo in range(0, max(X.size, 1), size)]
+    out = []
+    for parts in zip(*chunks):  # one spec's (values, diagnostics) in each chunk
+        vals = np.concatenate([v for v, _ in parts])
+        diag = functools.reduce(ConvergenceDiagnostics.merge, [d for _, d in parts])
+        out.append((vals[0] if xs.ndim == 0 else vals.reshape(xs.shape + vals.shape[-1:]), diag))
+    return tuple(out) if isinstance(spec, tuple) else out[0]
+
+
+def _take_points(specs: tuple[IterationSpec, ...], f: FunctionHandle, X: np.ndarray):
+    """take_limit of specs on one ladder at the flat points X: (values, diagnostics) per spec."""
     ladder = _Ladder(specs[0], f, X)
     limits = [_Limit(s, f.space, X.size) for s in specs]
     lo, hi = 0, 1  # level 1 alone: exact solutions stop there
@@ -339,8 +358,7 @@ def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandl
             for lim in live:
                 lim.take(levels, idx, *block)
             lo, hi = hi + 1, hi + _BLOCK_LEVELS
-    out = tuple(lim.finish(xs) for lim in limits)
-    return out if isinstance(spec, tuple) else out[0]
+    return [lim.finish() for lim in limits]
 
 
 class LimitFunction(FunctionHandle):
@@ -362,9 +380,8 @@ class LimitFunction(FunctionHandle):
         self.offset = scale * np.zeros(base.space.dim)
         self.diagnostics = _NOTHING_EVALUATED
 
-    def _eval(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals = self.settle(*take_limit(self.spec, self.base, xs))
-        return vals, np.abs(vals) + np.abs(self.offset)
+    def _values(self, xs: np.ndarray) -> np.ndarray:
+        return self.settle(*take_limit(self.spec, self.base, xs))
 
     def settle(self, vals: np.ndarray, diag: ConvergenceDiagnostics) -> np.ndarray:
         """This handle's values from take_limit's result for its spec; merges diag."""

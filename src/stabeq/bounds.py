@@ -30,13 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
 from .approximants import Direction, IterKind
 from .equations import EquationParams
 from .errors import CriticalExponentError, DivergentSeriesError, InvalidInputError
-from .errors import check_nonnegative
+from .errors import check_nonnegative, shown
 from .quasinorm import PNormSpace
 
 _FORMS = ("constant", "sum", "product")
@@ -196,12 +197,16 @@ class BoundContext:
         return not _series_exponents(IterKind.QUADRATIC, self.phi)
 
 
-def _as_series_kind(kind) -> IterKind:
-    """kind itself, or the IterKind whose series letter it names."""
-    for member in IterKind:
-        if kind is member or member.letter == str(kind).lower():
+def _as_member(kind, members, name, what: str):
+    """kind if it is one of members, or the member a string kind names in any case.
+
+    Only a string is compared by name, so no other value is turned into
+    text but by errors.shown.
+    """
+    for member in members:
+        if kind is member or isinstance(kind, str) and name(member) == kind.lower():
             return member
-    raise InvalidInputError(f"unknown series kind {kind!r}")
+    raise InvalidInputError(f"unknown {what} {shown(kind)}")
 
 
 def _series_rows(kind: IterKind, ctx: BoundContext) -> tuple[float, list[tuple[float, float, float]]]:
@@ -262,15 +267,16 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
     point.  It diverges iff a degree e has j (e - d) <= 0 (direction j,
     critical exponent d): exact, unlike the rounded rho.
 
-    Terms are added until the tail bound (last term * rho/(1-rho)) is below
-    1e-15 of the running sum at every point, and then that tail bound is
-    added; nothing rounds the float64 sum up, so it can fall a few ulps
-    below the exact sum.  Summing stops before the first term that is not
-    finite in float64: for a huge |k| the argument scale k^i overflows
-    within a chunk while its weight underflows, and as term(i+1) <=
-    rho * term(i) the terms left out are negligible.
+    Each point adds terms until its tail bound (last term * rho/(1-rho)) is
+    below 1e-15 of its running sum, and then that tail bound; only the
+    points still summing read the next chunk, so a point's value is bitwise
+    the same alone or in a batch.  Nothing rounds the float64 sum up, so it
+    can fall a few ulps below the exact sum.  A point stops before its first
+    term that is not finite in float64: for a huge |k| the argument scale
+    k^i overflows within a chunk while its weight underflows, and as
+    term(i+1) <= rho * term(i) the terms left out are negligible.
     """
-    kind = _as_series_kind(kind)
+    kind = _as_member(kind, IterKind, attrgetter("letter"), "series kind")
     w, arg_scale, j, rho = _series_geometry(kind, ctx)
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
@@ -292,25 +298,29 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
     def summed(pts):
         start = (1 + j) // 2
         total, last = np.zeros_like(pts), np.zeros_like(pts)
+        live = np.arange(pts.size)  # the points still summing
         for i in range(start, start + _TERM_CAP, _CHUNK):
             idx = np.arange(i, i + _CHUNK).astype(float)
             with np.errstate(over="ignore", invalid="ignore"):
-                xi = (arg_scale**idx)[:, None] * pts[None, :]  # (T, N)
+                xi = (arg_scale**idx)[:, None] * pts[live][None, :]  # (T, L)
                 acc = np.zeros_like(xi)
                 for c_m, a_m, b_m in rows:
                     acc += c_m * phi.value(a_m * xi, b_m * xi) ** p
                 terms = (w**idx)[:, None] * (pref * acc)
-            n_finite = int(np.cumprod(np.isfinite(terms).all(axis=1)).sum())
-            if n_finite == 0 and i == start:
+            # Each point's terms up to its first one not finite in float64.
+            finite = np.logical_and.accumulate(np.isfinite(terms), axis=0)
+            n_finite = finite.sum(axis=0)
+            if i == start and not n_finite.all():
                 raise InvalidInputError(f"{where} overflows float64 at term {i}")
-            if n_finite == 0:
-                break
-            terms = terms[:n_finite]
             # cumsum adds in index order for any number of points, where
-            # sum would add a lone point's terms pairwise.
-            total += np.cumsum(terms, axis=0)[-1]
-            last = terms[-1]
-            if n_finite < _CHUNK or np.all(last * tail_ratio <= _TAIL_REL * total + _TINY):
+            # sum would add a lone point's terms pairwise; the terms past a
+            # point's last finite one add +0.
+            total[live] += np.cumsum(np.where(finite, terms, 0.0), axis=0)[-1]
+            kept = np.flatnonzero(n_finite)  # the points with a finite term here
+            last[live[kept]] = terms[n_finite[kept] - 1, kept]
+            tail = last[live] * tail_ratio <= _TAIL_REL * total[live] + _TINY
+            live = live[(n_finite == _CHUNK) & ~tail]
+            if not live.size:
                 break
         return total + last * tail_ratio
 
@@ -350,11 +360,7 @@ def stability_bound(kind, ctx: BoundContext, x):
     general (no-parity-assumption) inequality requires; for the power
     controls here the series are even in x, so the symmetrization doubles.
     """
-    if not isinstance(kind, BoundKind):
-        try:
-            kind = BoundKind(str(kind).lower())
-        except ValueError:
-            raise InvalidInputError(f"unknown bound kind {kind!r}") from None
+    kind = _as_member(kind, BoundKind, attrgetter("value"), "bound kind")
     xs = np.asarray(x, dtype=float)
     M = ctx.space.modulus
     p = ctx.space.p

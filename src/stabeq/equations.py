@@ -53,7 +53,7 @@ class FunctionHandle:
         self.space = space
         self._fn = fn
         self.offset = np.zeros(space.dim)
-        self.offset = self._eval(np.zeros(1))[0][0].copy()
+        self.offset = self._values(np.zeros(1))[0].copy()
 
     @classmethod
     def componentwise(
@@ -78,8 +78,8 @@ class FunctionHandle:
         """Componentwise a3 x^3 + a2 x^2 + a1 x; coefficients scalar or (dim,)."""
         return cls.componentwise(space, horner_cubic, a3, a2, a1)
 
-    def _eval(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and magnitudes at the flat points xs, both shape (N, dim)."""
+    def _values(self, xs: np.ndarray) -> np.ndarray:
+        """Values at the flat points xs, shape (N, dim)."""
         out = np.asarray(self._fn(xs), dtype=float)
         if out.ndim == 1:
             out = out[:, None]
@@ -87,8 +87,15 @@ class FunctionHandle:
             raise InvalidInputError(
                 f"callable returned shape {out.shape}, expected ({xs.size}, {self.space.dim})"
             )
-        vals = out - self.offset
-        return vals, np.abs(vals) + np.abs(self.offset)
+        return out - self.offset
+
+    def _eval(self, xs: np.ndarray, at=None) -> tuple[np.ndarray, np.ndarray]:
+        """Values at the flat points xs, (N, dim), and magnitudes at xs[at] only.
+
+        at is a boolean mask over xs, or None for every point.
+        """
+        vals = self._values(xs)
+        return vals, np.abs(vals if at is None else vals[at]) + np.abs(self.offset)
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(x)[0]
@@ -156,47 +163,57 @@ _FIXED_TERMS = {
     "cubic_additive": ((1, 2, 1), (1, 2, -1), (-2, 1, 1), (-2, 1, -1), (-2, 2, 0), (4, 1, 0)),
 }
 
-# Pairs per block of pair_blocks: the working set of operator_residual on a
-# block is a few arrays of block x dim floats per term, whatever the grid.
+# The float budget of one working array: a tile of pair_blocks holds at most
+# _BLOCK // dim pairs, so each array operator_residual builds on it holds
+# about _BLOCK floats, whatever the grid; take_limit sizes its chunks of
+# points by the same budget.
 _BLOCK = 1 << 14
 
 
-def pair_blocks(grid) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (X, Y) pairs of grid, in order, as flat blocks of about _BLOCK.
+def pair_blocks(grid, dim: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (X, Y) pairs of grid, in order, as flat tiles of at most _BLOCK // dim pairs.
 
-    grid is an array of (x, y) pairs, sliced _BLOCK rows at a time, or a
-    grid with points() (a GridSpec) standing for its Cartesian square in
-    GridSpec.pairs() order: each block holds whole rows of equal x, so no
-    count^2-sized array is built.  A malformed pair array raises at once.
+    grid is an array of (x, y) pairs, sliced into tiles, or a grid with
+    points() (a GridSpec) standing for its Cartesian square in
+    GridSpec.pairs() order: a tile holds whole rows of equal x where a row
+    fits in it, and one piece of a row where it does not, so no array
+    longer than the tile is built besides the count points.  A malformed
+    pair array raises at once.
     """
+    size = max(1, _BLOCK // dim)
     if hasattr(grid, "points"):
         pts = grid.points()
-        step = max(1, _BLOCK // pts.size)
-        rows = (pts[lo : lo + step] for lo in range(0, pts.size, step))
-        return ((np.repeat(xs, pts.size), np.tile(pts, xs.size)) for xs in rows)
+        n = pts.size
+        if n > size:
+            pieces = [pts[lo : lo + size] for lo in range(0, n, size)]
+            return ((np.full(ys.size, x), ys) for x in pts for ys in pieces)
+        rows = (pts[lo : lo + size // n] for lo in range(0, n, size // n))
+        return ((np.repeat(xs, n), np.tile(pts, xs.size)) for xs in rows)
     pairs = np.asarray(grid, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
         raise InvalidInputError("grid must be a nonempty array of (x, y) pairs")
     return (
-        (pairs[lo : lo + _BLOCK, 0], pairs[lo : lo + _BLOCK, 1])
-        for lo in range(0, len(pairs), _BLOCK)
+        (pairs[lo : lo + size, 0], pairs[lo : lo + size, 1])
+        for lo in range(0, len(pairs), size)
     )
 
 
 def operator_residual(
-    f: FunctionHandle, kind: EquationKind, X: np.ndarray, Y: np.ndarray
+    f: FunctionHandle, kind: EquationKind, X: np.ndarray, Y: np.ndarray, at=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual sum_m c_m f(a_m x + b_m y) and its rounding scale per pair.
+    """Residual sum_m c_m f(a_m x + b_m y) per pair, and its rounding scale where at says.
 
-    X and Y are flat arrays of equal length.  Returns (residuals, scale) of
-    shapes (N, dim) and (N,), with scale = 1 + sum_m |c_m| pnorm(magnitude
-    of the m-th evaluation), so eps * scale is the rounding level of the
-    residual.  All pairs are evaluated in one pass, and each pair's result
-    is that of evaluating it alone; callers bound memory with pair_blocks.
+    X and Y are flat arrays of equal length, and at is a boolean mask over
+    the pairs or None for all of them.  Returns (residuals, scale) of shapes
+    (N, dim) and (M,), M the pairs at selects, with scale = 1 + sum_m |c_m|
+    pnorm(magnitude of the m-th evaluation), so eps * scale is the rounding
+    level of the residual; magnitudes are built only at those pairs.  All
+    pairs are evaluated in one pass, and each pair's result is that of
+    evaluating it alone; callers bound memory with pair_blocks.
     """
     acc = size = 0.0
     for c, a, b in kind.terms:
-        vals, mag = f.evaluate(a * X + b * Y)
+        vals, mag = f._eval(a * X + b * Y, at)
         acc = acc + c * vals
         size = size + abs(c) * f.space.pnorm(mag)
     return acc, 1.0 + size
@@ -238,12 +255,14 @@ class _ParityPart(FunctionHandle):
         self.space = whole.space
         self.offset = np.zeros(whole.space.dim)
 
-    def _eval(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _eval(self, xs: np.ndarray, at=None) -> tuple[np.ndarray, np.ndarray]:
         n = xs.size
-        vals, mag = self._whole._eval(np.concatenate([xs, -xs]))
+        both = None if at is None else np.concatenate([at, at])
+        vals, mag = self._whole._eval(np.concatenate([xs, -xs]), both)
         plus, minus = vals[:n], vals[n:]
         part = 0.5 * (plus - minus) if self._odd else 0.5 * (plus + minus)
-        return part, 0.5 * (mag[:n] + mag[n:])
+        m = len(mag) // 2  # the points at selects, at x and then at -x
+        return part, 0.5 * (mag[:m] + mag[m:])
 
 
 def parity_split(f: FunctionHandle) -> tuple[FunctionHandle, FunctionHandle]:
@@ -323,12 +342,12 @@ def verify_solution(
     """Max pnorm(D_f) over a grid of (x, y) pairs, judged against tol * scale.
 
     grid is an array of pairs or a GridSpec's square, read by pair_blocks
-    one block at a time.  scale is the largest per-pair rounding scale
-    operator_residual reports, 1 + sum_m |c_m| pnorm(f-evaluation m), so
+    one tile at a time.  scale is the largest rounding scale operator_residual
+    reports over every pair, 1 + sum_m |c_m| pnorm(f-evaluation m), so
     tol is relative to the magnitudes actually summed.  A map that overflows
     float64 on the grid gets a NaN or infinite max_residual, which fails.
     """
-    blocks = pair_blocks(grid)
+    blocks = pair_blocks(grid, f.space.dim)
     check_nonnegative("tol", tol)
     kind = EquationKind.general_mixed(params)
     max_residual, argmax_point, scale = -np.inf, None, -np.inf
@@ -337,8 +356,8 @@ def verify_solution(
             resid, scales = operator_residual(f, kind, X, Y)
             norms = f.space.pnorm(resid)
         i = int(np.argmax(norms))
-        # np.argmax over [best so far, this block's best] takes the later
-        # block only where the whole-grid np.argmax would: strictly greater,
+        # np.argmax over [best so far, this tile's best] takes the later
+        # tile only where the whole-grid np.argmax would: strictly greater,
         # or the first NaN.
         if np.argmax([max_residual, norms[i]]) == 1:
             max_residual, argmax_point = float(norms[i]), (float(X[i]), float(Y[i]))

@@ -246,14 +246,16 @@ def calibrate_theta(
     """Smallest theta (times a 1.01 safety factor) covering the grid residual.
 
     theta = 1.01 * max pnorm(D_f(x,y)) / phi_unit(x,y) over grid points where
-    the unit control is positive, reduced block by block (pair_blocks).  A
-    block holds max(1, 2^14 // count) rows of count pairs, so past 16,384
-    points memory grows linearly with the count, never with its square.
-    Points where phi_unit = 0 must have a residual at rounding-dust level
-    (<= 1e-12 of the local evaluation scale); a genuine residual there
-    raises UnboundablePerturbationError, since no amplitude makes the
-    control cover it.  The result certifies domination on the grid only, not
-    off it.  A residual or unit control that is not finite in float64 (the
+    the unit control is positive, reduced tile by tile: pair_blocks gives
+    tiles of at most 2^14 // dim pairs, whole rows of x or pieces of one
+    row, so memory is the same at every grid count apart from the count
+    points themselves.  Points where phi_unit = 0 must have a residual at
+    rounding-dust level (<= 1e-12 of the local evaluation scale); a genuine
+    residual there raises UnboundablePerturbationError, since no amplitude
+    makes the control cover it.  The unit control is evaluated first, and
+    the rounding scale is built only at those points, the only ones it is
+    read at.  The result certifies domination on the grid only, not off
+    it.  A residual or unit control that is not finite in float64 (the
     test map or the control overflows on a huge grid) raises
     InvalidInputError naming the first such pair.
     """
@@ -261,11 +263,12 @@ def calibrate_theta(
     unit = phi_form.instantiate(1.0)
     control = f"control {phi_form.form}:{phi_form.r:g}:{phi_form.s:g}"
     ratio = 0.0
-    for X, Y in pair_blocks(grid):
+    for X, Y in pair_blocks(grid, f.space.dim):
         with np.errstate(over="ignore", invalid="ignore"):
-            resid, local_scale = operator_residual(f, kind, X, Y)
-            rnorm = f.space.pnorm(resid)
             phi_unit = unit.value(X, Y)
+            zero = phi_unit == 0.0
+            resid, zero_scale = operator_residual(f, kind, X, Y, zero)
+            rnorm = f.space.pnorm(resid)
         for what, vals in (("residual", rnorm), (control, phi_unit)):
             if not np.all(np.isfinite(vals)):
                 i = int(np.argmin(np.isfinite(vals)))
@@ -278,10 +281,9 @@ def calibrate_theta(
                     f"{what} is {vals[i]} at (x, y) = ({X[i]:.6g}, {Y[i]:.6g}) on "
                     f"{where}; no finite theta covers it"
                 )
-        dust = rnorm <= _ZERO_RESIDUAL_REL * local_scale
-        uncovered = (phi_unit == 0.0) & ~dust
-        if np.any(uncovered):
-            i = int(np.argmax(uncovered))
+        dust = rnorm[zero] <= _ZERO_RESIDUAL_REL * zero_scale
+        if not dust.all():
+            i = np.flatnonzero(zero)[np.argmin(dust)]
             raise UnboundablePerturbationError(
                 f"control vanishes at (x, y) = ({X[i]:.6g}, {Y[i]:.6g}) where the "
                 f"residual is {rnorm[i]:.6g}; no finite theta covers it"

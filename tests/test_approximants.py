@@ -29,7 +29,7 @@ from stabeq import (
     take_limit,
     to_json,
 )
-from stabeq import approximants
+from stabeq import approximants, equations
 from stabeq.harness import decompose
 
 SPACE1 = PNormSpace(1, 1.0)
@@ -648,6 +648,49 @@ def test_components_at_equals_the_three_component_calls(monkeypatch, phi, calls)
     assert len(seen) == calls  # A and C share one call unless their directions differ
     assert all(same_bits(a, b) for a, b in zip(got, expected))
     assert dec.diagnostics == alone.diagnostics
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("phi", [PhiForm(), PhiForm("sum", 2.0, 2.5)])
+def test_limits_do_not_depend_on_the_float_budget(monkeypatch, dim, phi):
+    """Chunks of 1, 4 and 1,170 points (1, 1 and 292 at dim 4) give the same
+    limits and diagnostics; sinh blows up at 3 and 20, so last_step is inf."""
+    cfg = ExperimentConfig(codomain_dim=dim, k=3, noise=BOUNDED, phi_form=phi)
+    f = make_test_function(cfg)
+    xs = np.concatenate([np.linspace(-5, 5, 21), [0.0]])
+    sinh = FunctionHandle(lambda xs: np.sinh(xs)[:, None] * np.ones(dim), PNormSpace(dim, 1.0))
+    specs = tuple(
+        IterationSpec(kind, Direction.EXPAND) for kind in (IterKind.ADDITIVE, IterKind.CUBIC)
+    )
+    runs = []
+    for budget in (7, 64, 1 << 14):
+        monkeypatch.setattr(equations, "_BLOCK", budget)
+        dec = decompose(cfg, f)
+        values = [*dec.components_at(xs), dec.Q(2.5), dec.Q(xs[:0])]
+        blown = take_limit(specs, sinh, np.array([-2.0, 0.5, 3.0, 20.0, 1.0]))
+        values += [vals for vals, _ in blown]
+        runs.append((values, dec.diagnostics, [diag for _, diag in blown]))
+    assert all(diag.last_step == np.inf for diag in runs[0][2])
+    for values, diagnostics, blown in runs[1:]:
+        assert all(same_bits(a, b) for a, b in zip(values, runs[0][0]))
+        assert diagnostics == runs[0][1] and blown == runs[0][2]
+
+
+def test_merged_chunks_keep_a_nan_step(monkeypatch):
+    """At x = 3e102, A's level 0 is f(2x) - 8 f(x) = inf - inf and level 1
+    is 0, so a limit capped at level 1 stops on a NaN step.  np.max keeps
+    the NaN within a chunk, and merge keeps it across chunks."""
+    f = FunctionHandle(lambda xs: (xs**3)[:, None], SPACE1)
+    spec = IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, max_n=1)
+    xs = np.array([1.0, 3e102, 2.0])
+    _, diag = take_limit(spec, f, xs)
+    assert np.isnan(diag.last_step)
+    monkeypatch.setattr(equations, "_BLOCK", 7)  # one point per chunk
+    _, chunked = take_limit(spec, f, xs)
+    assert repr(chunked) == repr(diag)
+    limit = LimitFunction(spec, f)
+    limit(xs)
+    assert np.isnan(limit.diagnostics.last_step)
 
 
 def test_mixed_direction_report_keeps_separate_limits():

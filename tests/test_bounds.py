@@ -327,6 +327,33 @@ def test_psi_of_a_point_does_not_depend_on_its_batch(k, p, phi):
         assert psi_tilde_bound(kind, ctx, -xs).tolist() == lone
 
 
+@pytest.mark.parametrize(
+    "k, p, phi, n_ref",
+    [
+        # psi_a's step ratio is 2^(-0.03): its float64 sum ends where 2^i x
+        # overflows, past the reach of the reference loops.
+        (2, 0.3, PowerBound("sum", 1.0, 0.1, 0.9), None),
+        (3, 0.5, PowerBound("sum", 1.0, 2.0, 2.5), 300),
+        (2, 0.75, PowerBound("sum", 1.0, 0.25, 0.5), 300),
+    ],
+)
+def test_psi_summed_at_each_point_does_not_depend_on_its_batch(k, p, phi, n_ref):
+    """Two degrees below p = 1: each point stops at its own tail test, so a
+    point's value is bitwise that of the point alone, and stays within
+    1e-14 of the reference loops."""
+    ctx = ctx_for(k, p, phi)
+    xs = np.exp(np.random.default_rng(0).uniform(np.log(1e-4), np.log(1e4), 30))
+    for slot, kind in ((1, "a"), (2, "c")):
+        vec = psi_tilde_bound(kind, ctx, xs)
+        assert vec.tolist() == [psi_tilde_bound(kind, ctx, float(x)) for x in xs]
+        if n_ref is None:
+            continue
+        j = int(ctx.directions[slot])
+        for x, got in zip(xs[::5], vec[::5]):
+            want = psi_ref_odd({"a": 2.0, "c": 8.0}[kind], k, p, phi, x, j, n_ref)
+            assert abs(got / want - 1) <= 1e-14, (kind, x)
+
+
 def test_psi_zero_theta_and_vanishing_quadratic():
     ctx = ctx_for(2, 1.0, PowerBound("constant", 0.0))
     assert psi_tilde_bound("a", ctx, 2.0) == 0.0
@@ -421,6 +448,9 @@ def test_psi_rejects_unknown_kind_and_nonfinite_x():
     ctx = ctx_for(2, 1.0, PowerBound("constant", 1.0))
     with pytest.raises(InvalidInputError, match="unknown series kind 'zeta'"):
         psi_tilde_bound("zeta", ctx, 1.0)
+    # An int too long to print is named by its digit count.
+    with pytest.raises(InvalidInputError, match="^unknown series kind an int of 5001 digits$"):
+        psi_tilde_bound(10**5000, ctx, 1.0)
     # A non-finite x is rejected by name under every control, theta = 0 too.
     for phi in (
         PowerBound("constant", 1.0),
@@ -512,6 +542,8 @@ def test_bound_kind_accepts_strings_and_rejects_junk():
     )
     with pytest.raises(InvalidInputError, match="^unknown bound kind 'septic'$"):
         stability_bound("septic", ctx, 1.0)
+    with pytest.raises(InvalidInputError, match="^unknown bound kind an int of 5001 digits$"):
+        stability_bound(10**5000, ctx, 1.0)
 
 
 # --- closed-form constants ------------------------------------------------

@@ -1,16 +1,21 @@
 """Difference operator, companion residuals, parity split, grid verification."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from stabeq import (
+    Direction,
     EquationKind,
     EquationParams,
     FunctionHandle,
     GridSpec,
     InvalidInputError,
+    IterationSpec,
+    IterKind,
+    LimitFunction,
     PNormSpace,
     biadditive_form,
     difference_operator,
@@ -20,7 +25,8 @@ from stabeq import (
     to_json,
     verify_solution,
 )
-from stabeq.equations import _BLOCK, operator_residual
+from stabeq import equations
+from stabeq.equations import _BLOCK, operator_residual, pair_blocks
 
 SPACE1 = PNormSpace(1, 1.0)
 
@@ -243,6 +249,68 @@ def test_operator_residual_blocks_match_block_by_block():
         part_r, part_s = operator_residual(f, kind, X[lo : lo + 1000], Y[lo : lo + 1000])
         assert np.array_equal(resid[lo : lo + 1000], part_r)
         assert np.array_equal(scale[lo : lo + 1000], part_s)
+
+
+def odd_part_of_quartic_plus_cubic(space=SPACE1):
+    return parity_split(FunctionHandle(lambda xs: (xs**4 - 3.0 * xs**3 + xs)[:, None], space))[1]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        poly_handle(1.0, -2.0, 0.5, PNormSpace(3, 0.5)),
+        odd_part_of_quartic_plus_cubic(),
+        LimitFunction(
+            IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT), odd_part_of_quartic_plus_cubic()
+        ),
+    ],
+    ids=["plain-dim3", "parity-part", "limit"],
+)
+def test_operator_residual_builds_the_scale_only_where_asked(f):
+    kind = EquationKind.general_mixed(EquationParams(3))
+    X, Y = rand_points(40), rand_points(40, seed=RNG_SEED + 1)
+    resid, scale = operator_residual(f, kind, X, Y)
+    for at in (X > 1.0, np.zeros(40, dtype=bool), np.ones(40, dtype=bool)):
+        part_r, part_s = operator_residual(f, kind, X, Y, at)
+        assert np.array_equal(part_r, resid)
+        assert part_s.shape == (at.sum(),)
+        assert part_s.tobytes() == scale[at].tobytes()
+
+
+def tile_sizes(grid, dim, n=None):
+    return [X.size for X, _ in itertools.islice(pair_blocks(grid, dim), n)]
+
+
+@pytest.mark.parametrize("budget", [7, 64])
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("count", [2, 5, 13, 20])
+def test_pair_blocks_tiles_keep_to_the_float_budget(monkeypatch, budget, dim, count):
+    monkeypatch.setattr(equations, "_BLOCK", budget)
+    size = max(1, budget // dim)
+    grid = GridSpec(-1.0, 1.0, count)
+    pairs = grid.pairs()
+    for g in (grid, pairs):
+        tiles = list(pair_blocks(g, dim))
+        assert all(0 < X.size == Y.size <= size for X, Y in tiles)
+        got = np.column_stack([np.concatenate(t) for t in zip(*tiles)])
+        assert got.tobytes() == pairs.tobytes()
+    tiles = list(pair_blocks(grid, dim))
+    if count > size:  # a row longer than the tile comes in pieces of one x each
+        assert len(tiles) == count * -(-count // size)
+        assert all(np.all(X == X[0]) for X, _ in tiles)
+    else:  # whole rows, as many as fit
+        assert tile_sizes(grid, dim)[:-1] == [(size // count) * count] * (len(tiles) - 1)
+
+
+def test_pair_blocks_tile_at_the_default_budget():
+    # 101 points are one tile at dim 1 and tiles of 40 rows at dim 4;
+    # 1001 points at dim 4 are tiles of 4 rows.
+    assert tile_sizes(GridSpec(-5.0, 5.0, 101), 1) == [101 * 101]
+    assert tile_sizes(GridSpec(-5.0, 5.0, 101), 4) == [40 * 101] * 2 + [21 * 101]
+    assert set(tile_sizes(GridSpec(-5.0, 5.0, 1001), 4)[:-1]) == {4 * 1001}
+    # Past 16,384 // dim points a row comes in pieces of 16,384 // dim pairs.
+    assert tile_sizes(GridSpec(-5.0, 5.0, 20000), 4, 6) == [4096] * 4 + [3616, 4096]
+    assert tile_sizes(GridSpec(-5.0, 5.0, 20000), 1, 3) == [16384, 3616, 16384]
 
 
 def test_general_mixed_dispatch_matches_difference_operator():

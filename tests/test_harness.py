@@ -17,10 +17,12 @@ from stabeq import (
     EquationKind,
     EquationParams,
     ExperimentConfig,
+    FunctionHandle,
     GridSpec,
     InvalidInputError,
     NoiseSpec,
     PhiForm,
+    PNormSpace,
     PowerBound,
     ReportRow,
     StabilityReport,
@@ -34,8 +36,10 @@ from stabeq import (
     to_json,
     verify_solution,
 )
+from stabeq import equations
 from stabeq.equations import _BLOCK, operator_residual
 from stabeq.errors import is_finite_number
+from stabeq.harness import decompose
 
 SEEDED = ExperimentConfig(noise=NoiseSpec("bounded_smooth", 0.01, 42))
 
@@ -557,9 +561,11 @@ def full_array_theta(f, params, phi_form, pairs):
 @pytest.mark.parametrize("dim", [1, 4])
 @pytest.mark.parametrize("phi", [PhiForm(), PhiForm("sum", 0.5, 0.5)])
 def test_calibrate_theta_matches_the_full_array_reference(dim, phi):
-    # 181 rows of 181 pairs: 90 rows per block, so the last block is one row
+    # 181 rows of 181 pairs: 90 rows per tile at dim 1, so the last tile is
+    # one row, and 22 at dim 4, so the last tile is 5 rows
     grid = GridSpec(-5.0, 5.0, 181)
-    assert grid.count**2 > _BLOCK and grid.count % (_BLOCK // grid.count) != 0
+    rows = _BLOCK // dim // grid.count
+    assert grid.count**2 > _BLOCK // dim and grid.count % rows != 0
     cfg = ExperimentConfig(
         codomain_dim=dim, noise=NoiseSpec("bounded_smooth", 0.01, 5), phi_form=phi, grid=grid
     )
@@ -582,7 +588,7 @@ def test_calibrate_theta_names_the_first_uncovered_pair():
     f = make_test_function(cfg)
     params = EquationParams(2)
     want, i = full_array_theta(f, params, cfg.phi_form, grid.pairs())
-    assert i >= (_BLOCK // grid.count) * grid.count  # not in the first block
+    assert i >= (_BLOCK // cfg.codomain_dim // grid.count) * grid.count  # not in the first tile
     for g in (grid, grid.pairs()):
         with pytest.raises(UnboundablePerturbationError) as exc:
             calibrate_theta(f, params, cfg.phi_form, g)
@@ -647,6 +653,121 @@ def calibration_peak_bytes(count):
 
 def test_calibrate_theta_memory_does_not_grow_with_the_grid():
     assert calibration_peak_bytes(601) <= calibration_peak_bytes(201) + 2**20
+
+
+# Measured peaks at dim 4: calibration about 0.96 MB at count 301 and 0.91 MB
+# at 1201; components_at about 0.67 MB and 0.73 MB, where the count points
+# and the three (count, 4) results are about 0.15 MB at 1201.  Blocks of
+# 2^14 pairs (not floats), rows of 2^14 // count, and one ladder over all
+# points peak at 5.1 / 4.9 MB and 0.78 / 2.9 MB.
+_PEAK_CEILING = 3 * 2**19
+
+
+@pytest.mark.parametrize("count", [301, 1201])
+def test_calibration_and_limits_keep_to_a_memory_ceiling(count):
+    cfg = ExperimentConfig(
+        codomain_dim=4,
+        noise=NoiseSpec("bounded_smooth", 0.01, 0),
+        grid=GridSpec(-5.0, 5.0, count),
+    )
+    f = make_test_function(cfg)
+    dec = decompose(cfg, f)
+    xs = cfg.grid.points()
+    for stage in (
+        lambda: calibrate_theta(f, EquationParams(2), cfg.phi_form, cfg.grid),
+        lambda: dec.components_at(xs),
+    ):
+        tracemalloc.start()
+        try:
+            stage()
+            assert tracemalloc.get_traced_memory()[1] < _PEAK_CEILING
+        finally:
+            tracemalloc.stop()
+
+
+def quartic_past_3(xs):
+    """(x - 3)^4 past 3, else 0: D_f(0, y) = f(2y) for y >= 0."""
+    return np.where(xs > 3.0, (xs - 3.0) ** 4, 0.0)
+
+
+def cubic_blown_past_3(xs):
+    return np.where(xs > 3.0, np.inf, xs**3)
+
+
+def over_budgets(monkeypatch, run):
+    """run() at the float budgets 7, 64 and 2^14: its result, or its error's type and message."""
+    out = []
+    for budget in (7, 64, 1 << 14):
+        monkeypatch.setattr(equations, "_BLOCK", budget)
+        try:
+            out.append(run())
+        except (InvalidInputError, UnboundablePerturbationError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize(
+    "phi", [PhiForm(), PhiForm("sum", 4.0, 4.0), PhiForm("product", 2.0, 2.0)]
+)
+def test_calibration_and_verification_do_not_depend_on_the_budget(monkeypatch, dim, phi):
+    """Tiles of one pair, of pieces of a row and of whole rows give one theta
+    and one verdict; sum:4:4 vanishes at (0, 0) alone and product:2:2 on
+    both axes, where the rounding scale is read."""
+    grid = GridSpec(-3.0, 3.0, 21)
+    cfg = ExperimentConfig(
+        codomain_dim=dim, noise=NoiseSpec("bounded_smooth", 0.01, 2), phi_form=phi, grid=grid
+    )
+    f = make_test_function(cfg)
+    params = EquationParams(2)
+    for g in (grid, grid.pairs()):
+        thetas = over_budgets(monkeypatch, lambda: calibrate_theta(f, params, phi, g))
+        assert thetas[0] > 0.0 and len({float(t).hex() for t in thetas}) == 1
+        reports = over_budgets(
+            monkeypatch, lambda: json.dumps(to_json(verify_solution(f, params, g, 1e-9)))
+        )
+        assert len(set(reports)) == 1
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize(
+    "fn, phi, grid, what",
+    [
+        # On the first row, x = 0, f(2y) leaves 0 (the quartic) or float64
+        # (the cubic) from y = 1.55 on: index 31 of 41, inside the fifth
+        # piece of 7 pairs at budget 7 and the second of 16 at 64 x dim 4.
+        (
+            quartic_past_3,
+            PhiForm("sum", 2.0, 0.0),
+            GridSpec(0.0, 2.0, 41),
+            "control vanishes at (x, y) = (0, 1.55)",
+        ),
+        (
+            cubic_blown_past_3,
+            PhiForm(),
+            GridSpec(0.0, 2.0, 41),
+            "residual is inf at (x, y) = (0, 1.55)",
+        ),
+        # |y|^4 overflows from y = 1.5e77 on: index 3 of the first row.
+        (
+            None,
+            PhiForm("sum", 4.0, 4.0),
+            GridSpec(0.0, 1e78, 21),
+            "control sum:4:4 is inf at (x, y) = (0, 1.5e+77)",
+        ),
+    ],
+    ids=["uncovered", "residual", "control"],
+)
+def test_calibration_names_the_same_first_pair_at_every_budget(
+    monkeypatch, dim, fn, phi, grid, what
+):
+    if fn is None:
+        f = make_test_function(ExperimentConfig(codomain_dim=dim))
+    else:
+        f = FunctionHandle(lambda xs: fn(xs)[:, None] * np.ones(dim), PNormSpace(dim, 1.0))
+    for g in (grid, grid.pairs()):
+        errors = over_budgets(monkeypatch, lambda: calibrate_theta(f, EquationParams(2), phi, g))
+        assert len(set(errors)) == 1 and what in errors[0][1], errors
 
 
 # --- experiments ----------------------------------------------------------
