@@ -35,9 +35,7 @@ from .equations import (
     EquationParams,
     FunctionHandle,
     SolutionReport,
-    biadditive_form,
     difference_operator,
-    mixed_fourth_residual,
     parity_split,
     residual,
     to_json,
@@ -94,7 +92,6 @@ __all__ = [
     "SolutionReport",
     "StabilityReport",
     "UnboundablePerturbationError",
-    "biadditive_form",
     "bound_table",
     "calibrate_theta",
     "corollary_constant",
@@ -103,7 +100,6 @@ __all__ = [
     "emit_report",
     "full_bound_power",
     "make_test_function",
-    "mixed_fourth_residual",
     "modulus_of_concavity",
     "parity_split",
     "power_sum_residual",

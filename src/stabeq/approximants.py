@@ -10,10 +10,11 @@ is recovered by a scaled iteration:
 with direction j = +1 (arguments contract) or j = -1 (arguments expand).
 Each is one row of IterKind: a component of degree d iterates with base b
 (k for the even part, 2 for the odd one), reads f at x / b^(nj), weighs by
-b^(dnj), and an odd component combines f(2x) - 2^(4-d) f(x), whose limit is
-(2^d - 2^(4-d)) times the component.  Every iterate reads f on one geometric
-sequence of rungs x * b^(-mj), each rounded once: level n reads rung n, and
-an odd kind's 2u is rung n - j.
+b^(dnj), and an odd component combines f(2x) - c f(x), c = 2^(4-d)
+(IterKind.coeff), whose limit is (2^d - c) times the component.  Every kind
+stops by one rule and at one cap, IterationSpec.max_n.  Every iterate reads
+f on one geometric sequence of rungs x * b^(-mj), each rounded once: level n
+reads rung n, and an odd kind's 2u is rung n - j.
 Limits are taken with a Cauchy stopping rule floored at the rounding scale
 of the iterate, so an expanding iteration stops at the best accuracy float64
 supports instead of chasing cancellation noise; a non-finite iterate marks
@@ -48,6 +49,8 @@ class IterKind(Enum):
     label  : the component's name, its key in the diagnostics
     letter : the letter of its comparison series (psi_e, psi_a, psi_c)
     degree : d, the component's degree and its series' critical exponent
+    coeff  : c = 2^(4-d); an odd kind iterates f(2x) - c f(x), whose limit
+             is 2^d - c times the component
     """
 
     QUADRATIC = ("quadratic", "e", 2.0)
@@ -57,16 +60,15 @@ class IterKind(Enum):
     def __init__(self, label: str, letter: str, degree: float):
         self.label, self.letter, self.degree = label, letter, degree
         self.odd = degree % 2 == 1  # iterated on the odd part of f
+        self.coeff = 2.0 ** (4.0 - degree)
 
     def base(self, params: EquationParams | None) -> int:
         """The scaling base b: the equation's k for the even part, 2 for the odd one."""
         return 2 if self.odd else params.k
 
 
-# Default iteration caps: base-2 iterations get 48 doublings, the base-k^2
-# quadratic iteration 30 (k >= 2 contracts at least as fast as 4^n).
+# The default iteration cap of every component: 48 levels.
 DEFAULT_MAX_N = 48
-DEFAULT_MAX_N_QUADRATIC = 30
 DEFAULT_TOL = 1e-10
 
 # Cauchy steps are accepted once they fall below _FLOOR_SAFETY * eps times
@@ -81,27 +83,21 @@ class IterationSpec:
     """One scaled-iteration family: what to iterate and when to stop.
 
     tol is relative: the loop stops once the Cauchy step is below
-    tol * (1 + pnorm(iterate)).
+    tol * (1 + pnorm(iterate)).  max_n is the last level taken, the same
+    cap for every kind.
     """
 
     kind: IterKind
     direction: Direction
     params: EquationParams | None = None
     tol: float = DEFAULT_TOL
-    max_n: int | None = None
+    max_n: int = DEFAULT_MAX_N
 
     def __post_init__(self) -> None:
         if not self.kind.odd and self.params is None:
             raise InvalidInputError("quadratic iteration requires EquationParams")
         check_nonnegative("tol", self.tol)
-        if self.max_n is not None:
-            check_integer("max_n", self.max_n, 1)
-
-    @property
-    def cap(self) -> int:
-        if self.max_n is not None:
-            return self.max_n
-        return DEFAULT_MAX_N if self.kind.odd else DEFAULT_MAX_N_QUADRATIC
+        check_integer("max_n", self.max_n, 1)
 
 
 def _powers(base: int, exponent: float, levels: range) -> np.ndarray:
@@ -146,7 +142,7 @@ def _combine(spec: IterationSpec, levels: range, rungs: range, vals, mag):
     if not kind.odd:
         return scale * vals[at], abs(scale) * mag[at]
     two = slice(first - j, first - j + len(levels))
-    c = 2.0 ** (4.0 - kind.degree)
+    c = kind.coeff
     return scale * (vals[two] - c * vals[at]), abs(scale) * (mag[two] + c * mag[at])
 
 
@@ -235,7 +231,7 @@ class _Limit:
         and its result and diagnostics are that level's.  Level n is armed
         by level n-1's small step and must not exceed it.
         """
-        levels = levels[: self.spec.cap - levels[0] + 1]
+        levels = levels[: self.spec.max_n - levels[0] + 1]
         mine = self.live[idx]
         if not mine.all():
             idx = idx[mine]
@@ -257,7 +253,7 @@ class _Limit:
         prev_step = np.concatenate([last_step[None], step[:-1]])
         ok = small & ((armed & (step <= prev_step)) | (step <= floor))
         stop = ok | ~finite
-        if levels[-1] == self.spec.cap:
+        if levels[-1] == self.spec.max_n:
             stop[-1] = True
         done = stop.any(axis=0)
         going = ~done
@@ -352,7 +348,7 @@ def _take_points(specs: tuple[IterationSpec, ...], f: FunctionHandle, X: np.ndar
     lo, hi = 0, 1  # level 1 alone: exact solutions stop there
     with np.errstate(over="ignore", invalid="ignore"):
         while live := [lim for lim in limits if lim.live.any()]:
-            levels = range(lo, min(hi, max(lim.spec.cap for lim in live)) + 1)
+            levels = range(lo, min(hi, max(lim.spec.max_n for lim in live)) + 1)
             idx = np.flatnonzero(functools.reduce(np.logical_or, (lim.live for lim in live)))
             block = ladder.block(levels, idx)
             for lim in live:
@@ -387,21 +383,6 @@ class LimitFunction(FunctionHandle):
         """This handle's values from take_limit's result for its spec; merges diag."""
         self.diagnostics = self.diagnostics.merge(diag)
         return self._scale * vals - self.offset
-
-
-def _component(
-    kind: IterKind, base: FunctionHandle, j: Direction, tol: float, max_n: int, params=None
-) -> LimitFunction:
-    """The kind's component, the scaled limit of its iteration on base.
-
-    An odd kind's limit is 2^d - 2^(4-d) times its component (-6 A, 6 C);
-    Q's iteration is capped at DEFAULT_MAX_N_QUADRATIC.
-    """
-    if kind.odd:
-        scale = 1.0 / (2.0**kind.degree - 2.0 ** (4.0 - kind.degree))
-        return LimitFunction(IterationSpec(kind, j, tol=tol, max_n=max_n), base, scale)
-    cap = min(max_n, DEFAULT_MAX_N_QUADRATIC)
-    return LimitFunction(IterationSpec(kind, j, params, tol, cap), base)
 
 
 @dataclass
@@ -441,14 +422,18 @@ def decompose_full(
     """Full parity-split decomposition f ~ A + Q + C.
 
     directions = (j_quadratic, j_additive, j_cubic).  The even part feeds the
-    base-k^2 quadratic iteration, capped at min(max_n, DEFAULT_MAX_N_QUADRATIC),
-    and the odd part the base-2 pair, capped at max_n.  Nothing is iterated
-    until a component is called, so each component's diagnostics cover
-    exactly the points it was evaluated at.
+    base-k quadratic iteration and the odd part the base-2 pair, each capped
+    at max_n; an odd limit is 2^d - coeff times its component (-6 A, 6 C).
+    Nothing is iterated until a component is called, so each component's
+    diagnostics cover exactly the points it was evaluated at.
     """
     even, odd = parity_split(f)
     Q, A, C = (
-        _component(kind, odd if kind.odd else even, j, tol, max_n, params)
+        LimitFunction(
+            IterationSpec(kind, j, params, tol, max_n),
+            odd if kind.odd else even,
+            1.0 / (2.0**kind.degree - kind.coeff) if kind.odd else 1.0,
+        )
         for kind, j in zip(IterKind, directions, strict=True)
     )
     return DecompositionResult(

@@ -243,9 +243,10 @@ def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, i
     """
     direction = ctx.directions[list(IterKind).index(kind)]
     if direction is None:
+        exps = ", ".join(f"{e:g}" for e in _series_exponents(kind, ctx.phi))
         raise CriticalExponentError(
-            f"series {kind.letter!r} has no convergent direction for this control; "
-            "choose different exponents or pass directions explicitly"
+            f"series psi_{kind.letter} has no convergent direction: the control's "
+            f"exponents ({exps}) equal or straddle its critical value {kind.degree:g}"
         )
     j = int(direction)
     weight, b = _bases(kind, ctx)

@@ -66,7 +66,7 @@ _FLAGS = {
     "grid": click.option("--grid", default="-5:5:101", show_default=True, help="Grid min:max:count.",
                          callback=_triple("min:max:count", lambda lo, hi, n: GridSpec(float(lo), float(hi), int(n)))),
     "tol": click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, help="Tolerance (iteration stop / residual check)."),
-    "max_n": click.option("--max-n", type=int, default=DEFAULT_MAX_N, show_default=True, help="Iteration cap."),
+    "max_n": click.option("--max-n", type=int, default=DEFAULT_MAX_N, show_default=True, help="Iteration cap of every component."),
     "out": click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write output here instead of stdout."),
     "config": click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON config overriding the flags; unknown keys are rejected."),
 }

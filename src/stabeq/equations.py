@@ -7,8 +7,8 @@ The central operator is
 for an integer k with |k| >= 2.  D_f vanishes identically exactly on maps of
 the form f(x) = a x^3 + b x^2 + c x (componentwise), which is what makes the
 operator usable as a stability residual: a small ||D_f|| certifies f is near
-such a solution.  Companion residuals for the pure quadratic and the two
-cubic-flavored equations are provided under the same interface.
+such a solution.  Companion residuals for the pure quadratic and the cubic
+equations are provided under the same interface.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class EquationKind:
     tag: str
     params: EquationParams | None = None
 
-    _TAGS = ("general_mixed", "quadratic", "cubic", "cubic_additive")
+    _TAGS = ("general_mixed", "quadratic", "cubic")
 
     def __post_init__(self) -> None:
         if self.tag not in self._TAGS:
@@ -143,10 +143,6 @@ class EquationKind:
     def cubic(cls) -> "EquationKind":
         return cls("cubic")
 
-    @classmethod
-    def cubic_additive(cls) -> "EquationKind":
-        return cls("cubic_additive")
-
     @property
     def terms(self) -> tuple[tuple[float, float, float], ...]:
         """(c, a, b) of each term of the residual sum_m c_m f(a_m x + b_m y)."""
@@ -160,7 +156,6 @@ class EquationKind:
 _FIXED_TERMS = {
     "quadratic": ((1, 1, 1), (1, 1, -1), (-2, 1, 0), (-2, 0, 1)),
     "cubic": ((1, 2, 1), (1, 2, -1), (-2, 1, 1), (-2, 1, -1), (-12, 1, 0)),
-    "cubic_additive": ((1, 2, 1), (1, 2, -1), (-2, 1, 1), (-2, 1, -1), (-2, 2, 0), (4, 1, 0)),
 }
 
 # The float budget of one working array: a tile of pair_blocks holds at most
@@ -272,23 +267,6 @@ def parity_split(f: FunctionHandle) -> tuple[FunctionHandle, FunctionHandle]:
     antisymmetric); reassembly e + o matches f to within 1 ulp.
     """
     return _ParityPart(f, odd=False), _ParityPart(f, odd=True)
-
-
-def mixed_fourth_residual(f: FunctionHandle, x) -> np.ndarray:
-    """f(4x) - 10 f(2x) + 16 f(x); separates the cubic and additive scales.
-
-    Vanishes iff the dyadic scaling of f is consistent with a cubic+additive
-    odd part (it is -8 x^2 on a pure square, nonzero, which is the point:
-    quadratic content survives).
-    """
-    xs = np.asarray(x, dtype=float)
-    return f(4.0 * xs) - 10.0 * f(2.0 * xs) + 16.0 * f(xs)
-
-
-def biadditive_form(q: FunctionHandle, x, y) -> np.ndarray:
-    """Polarization (q(x+y) - q(x-y))/4 of a quadratic map q."""
-    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return 0.25 * (q(xs + ys) - q(xs - ys))
 
 
 def json_key(f) -> str:

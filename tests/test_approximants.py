@@ -144,9 +144,8 @@ def test_iteration_spec_validation():
     for tol in (np.inf, np.nan, True):
         with pytest.raises(InvalidInputError, match="tol must be finite"):
             IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, tol=tol)
-    assert IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT).cap == 48
-    assert IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, params=K2).cap == 30
-    assert IterationSpec(IterKind.CUBIC, Direction.EXPAND, max_n=5).cap == 5
+    caps = [IterationSpec(kind, Direction.CONTRACT, K2).max_n for kind in IterKind]
+    assert caps + [IterationSpec(IterKind.QUADRATIC, Direction.EXPAND, K2, max_n=5).max_n] == [48] * 3 + [5]
 
 
 # --- limits ---------------------------------------------------------------
@@ -435,7 +434,7 @@ def take_limit_reference(spec, f, xs):
     prev_step = np.full(xs.size, np.inf)
     active = np.arange(xs.size)
     eps = np.finfo(float).eps
-    for n in range(1, spec.cap + 1):
+    for n in range(1, spec.max_n + 1):
         cur, mag = iterate_reference(spec, f, xs[active], n)
         with np.errstate(invalid="ignore"):
             step = space.pnorm(cur - prev[active])

@@ -103,9 +103,18 @@ def test_bounds_table_sum_control(runner):
 
 
 def test_bounds_critical_exponent_exits_2(runner):
-    result = invoke(runner, "bounds", "--phi", "sum:1:0")
-    assert result.exit_code == 2
-    assert "error:" in result.stderr
+    # The message names the series, the control's exponents and the critical value.
+    for phi, series, exponents, critical in (
+        ("sum:1:0", "a", "1", 1),
+        ("sum:0.5:2", "a", "0.5, 2", 1),  # exponents on both sides of 1
+        ("sum:0:2", "e", "2", 2),
+    ):
+        result = invoke(runner, "bounds", "--phi", phi)
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: series psi_{series} has no convergent direction: the control's "
+            f"exponents ({exponents}) equal or straddle its critical value {critical}\n"
+        )
 
 
 # --- experiment -----------------------------------------------------------
@@ -262,6 +271,20 @@ def test_config_written_by_to_json_loads_at_dim_4(runner, tmp_path):
     result = invoke(runner, "experiment", "--grid=-1:1:5", "--config", str(cfg))
     assert result.exit_code == 0, result.stderr
     assert len(json.loads(result.output)["rows"][0]["f"]) == 4
+
+
+@pytest.mark.parametrize(
+    "phi, max_n, code, n_used",
+    [("sum:2:2.5", None, 0, 31), ("sum:2.1:2.1", None, 0, 39), ("sum:2:2.5", "30", 1, 30)],
+)
+def test_max_n_caps_the_quadratic_limit_too(runner, phi, max_n, code, n_used):
+    # At k = 2 under these controls Q needs more than 30 levels, and the
+    # default cap of 48 covers them; a cap of 30 leaves Q unconverged.
+    args = ("experiment", "--k", "2", "--p", "1", "--phi", phi, "--noise", "power_scaled:0.01:3", "--grid=-5:5:21")
+    result = invoke(runner, *args, *(("--max-n", max_n) if max_n else ()))
+    assert result.exit_code == code, result.stderr
+    quadratic = json.loads(result.output)["diagnostics"]["quadratic"]
+    assert (quadratic["n_used"], quadratic["converged"]) == (n_used, code == 0)
 
 
 def test_decompose_and_experiment_share_the_quadratic_cap(runner):

@@ -17,9 +17,7 @@ from stabeq import (
     IterKind,
     LimitFunction,
     PNormSpace,
-    biadditive_form,
     difference_operator,
-    mixed_fourth_residual,
     parity_split,
     residual,
     to_json,
@@ -202,15 +200,6 @@ def test_pure_cubic_residual():
     assert residual(a, EquationKind.cubic(), 1.0, 1.0)[0] == -12.0
 
 
-def test_cubic_additive_residual_absorbs_additive_part():
-    mixed = poly_handle(4.0, 0.0, -3.0)  # cubic plus additive, no quadratic
-    pts = rand_points(100)
-    vals = residual(mixed, EquationKind.cubic_additive(), pts, pts[::-1])
-    assert np.max(np.abs(vals)) < 1e-9 * (1 + np.max(np.abs(mixed(3 * pts))))
-    q = poly_handle(0.0, 1.0, 0.0)
-    assert abs(residual(q, EquationKind.cubic_additive(), 1.0, 2.0)[0]) > 1.0
-
-
 def test_term_tables_reproduce_the_written_out_sums():
     f = FunctionHandle(lambda xs: (np.sin(3 * xs) + xs**4)[:, None], SPACE1)
     X, Y = rand_points(300), rand_points(300, seed=RNG_SEED + 1)
@@ -227,12 +216,6 @@ def test_term_tables_reproduce_the_written_out_sums():
         - 2.0 * f(X + Y)
         - 2.0 * f(X - Y)
         - 12.0 * f(X),
-        EquationKind.cubic_additive(): f(2 * X + Y)
-        + f(2 * X - Y)
-        - 2.0 * f(X + Y)
-        - 2.0 * f(X - Y)
-        - 2.0 * f(2 * X)
-        + 4.0 * f(X),
     }
     for kind, want in written.items():
         assert np.array_equal(residual(f, kind, X, Y), want), kind.tag
@@ -361,26 +344,6 @@ def test_parity_split_reproducible():
     e1, o1 = (part(xs) for part in parity_split(f))
     e2, o2 = (part(xs) for part in parity_split(f))
     assert np.array_equal(e1, e2) and np.array_equal(o1, o2)
-
-
-def test_mixed_fourth_residual():
-    q = poly_handle(0.0, 1.0, 0.0)
-    # f(4x) - 10 f(2x) + 16 f(x) = (16 - 40 + 16) x^2 = -8 x^2
-    assert mixed_fourth_residual(q, 1.0)[0] == -8.0
-    assert mixed_fourth_residual(q, 2.0)[0] == -32.0
-    ca = poly_handle(2.0, 0.0, -1.0)
-    vals = mixed_fourth_residual(ca, rand_points(50))
-    assert np.max(np.abs(vals)) < 1e-9 * (1 + np.max(np.abs(ca(4 * rand_points(50)))))
-
-
-def test_biadditive_form_polarizes_squares():
-    q = poly_handle(0.0, 1.0, 0.0)
-    # (q(x+y) - q(x-y)) / 4 = x y
-    assert biadditive_form(q, 3.0, 5.0)[0] == 15.0
-    X = rand_points(40)
-    Y = rand_points(40, seed=RNG_SEED + 1)
-    vals = biadditive_form(q, X, Y)[:, 0]
-    assert np.allclose(vals, X * Y, rtol=1e-12, atol=1e-9)
 
 
 # --- grid verification ----------------------------------------------------
