@@ -26,7 +26,6 @@ from .bounds import (
     corollary_constant,
     full_bound_power,
     psi_tilde_bound,
-    select_direction,
     select_directions,
     stability_bound,
 )
@@ -43,7 +42,6 @@ from .equations import (
 )
 from .errors import (
     CriticalExponentError,
-    DivergentSeriesError,
     InvalidInputError,
     UnboundablePerturbationError,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "CriticalExponentError",
     "DecompositionResult",
     "Direction",
-    "DivergentSeriesError",
     "EquationKind",
     "EquationParams",
     "ExperimentConfig",
@@ -108,7 +105,6 @@ __all__ = [
     "report_to_json",
     "residual",
     "run_experiment",
-    "select_direction",
     "select_directions",
     "stability_bound",
     "take_limit",

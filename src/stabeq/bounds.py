@@ -36,7 +36,7 @@ import numpy as np
 
 from .approximants import Direction, IterKind
 from .equations import EquationParams
-from .errors import CriticalExponentError, DivergentSeriesError, InvalidInputError
+from .errors import CriticalExponentError, InvalidInputError
 from .errors import check_nonnegative, shown
 from .quasinorm import PNormSpace
 
@@ -105,16 +105,6 @@ class PowerBound:
         return next((s for r, s in self.terms() if r == 0), None)
 
 
-def select_direction(exponent: float, critical: float) -> Direction:
-    """CONTRACT above the critical exponent, EXPAND below, error at it."""
-    if exponent == critical:
-        raise CriticalExponentError(
-            f"exponent {exponent} equals the critical value {critical}; "
-            "neither iteration direction contracts"
-        )
-    return Direction.CONTRACT if exponent > critical else Direction.EXPAND
-
-
 _ODD_KINDS = tuple(kind for kind in IterKind if kind.odd)
 
 
@@ -131,17 +121,27 @@ def _series_exponents(kind: IterKind, phi: PowerBound) -> tuple[float, ...]:
     return phi.exponents()
 
 
-def _select(kind: IterKind, phi: PowerBound) -> Direction:
-    exps = _series_exponents(kind, phi)
-    if not exps:
+def _direction(kind: IterKind, degrees: tuple[float, ...]) -> Direction:
+    """The one direction rule: j with j (e - d) > 0 for every live degree e.
+
+    CONTRACT when every degree is above the kind's degree d, EXPAND when
+    every one is below it (or none is live); a degree at d, or degrees on
+    both sides of it, leave the series no convergent direction.
+    """
+    d = kind.degree
+    if all(e < d for e in degrees):
         return Direction.EXPAND
-    dirs = {select_direction(e, kind.degree) for e in exps}
-    if len(dirs) != 1:
-        raise CriticalExponentError(
-            f"control exponents {exps} straddle the critical value "
-            f"{kind.degree}; no single direction makes the series converge"
-        )
-    return dirs.pop()
+    if all(e > d for e in degrees):
+        return Direction.CONTRACT
+    raise CriticalExponentError(
+        f"series psi_{kind.letter} has no convergent direction: the control's "
+        f"exponents ({', '.join(f'{e:g}' for e in degrees)}) equal or straddle "
+        f"its critical value {d:g}"
+    )
+
+
+def _select(kind: IterKind, phi: PowerBound) -> Direction:
+    return _direction(kind, _series_exponents(kind, phi))
 
 
 def select_directions(phi: PowerBound) -> tuple[Direction, Direction, Direction]:
@@ -149,47 +149,28 @@ def select_directions(phi: PowerBound) -> tuple[Direction, Direction, Direction]
 
     When phi(0, y) is identically zero the quadratic series vanishes for
     either direction; EXPAND is reported for definiteness.  Raises
-    CriticalExponentError if any component lacks a convergent direction.
+    CriticalExponentError for the first component, in IterKind order, that
+    lacks a convergent direction.
     """
     return tuple(_select(kind, phi) for kind in IterKind)
 
 
-def _maybe_directions(phi: PowerBound) -> tuple[Direction | None, ...]:
-    """Per-component best effort: None marks a slot with no convergent direction.
-
-    Lets a context serve single-component bounds (say, the quadratic bound
-    under a |y|^3 control) even when another component's series is critical;
-    using a None slot raises at evaluation time.
-    """
-    out = []
-    for kind in IterKind:
-        try:
-            out.append(_select(kind, phi))
-        except CriticalExponentError:
-            out.append(None)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BoundContext:
-    """Everything a bound evaluation needs: equation, space, control, directions."""
+    """Everything a bound evaluation needs: equation, space and control.
+
+    A context is built for any control: the directions come from phi, and
+    only a series (or the directions property) that reads a slot with no
+    convergent direction raises, so the other slots are still served.
+    """
 
     params: EquationParams
     space: PNormSpace
     phi: PowerBound
-    directions: tuple[Direction, Direction, Direction]
 
-    @classmethod
-    def create(
-        cls,
-        params: EquationParams,
-        space: PNormSpace,
-        phi: PowerBound,
-        directions: tuple[Direction, Direction, Direction] | None = None,
-    ) -> "BoundContext":
-        if directions is None:
-            directions = _maybe_directions(phi)
-        return cls(params=params, space=space, phi=phi, directions=directions)
+    @property
+    def directions(self) -> tuple[Direction, Direction, Direction]:
+        return select_directions(self.phi)
 
     @property
     def quad_zero(self) -> bool:
@@ -241,14 +222,7 @@ def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, i
     rho bounds term(i+1)/term(i), rounded, and is 0 when the series is identically zero.
     A slot with no convergent direction raises, whatever theta is.
     """
-    direction = ctx.directions[list(IterKind).index(kind)]
-    if direction is None:
-        exps = ", ".join(f"{e:g}" for e in _series_exponents(kind, ctx.phi))
-        raise CriticalExponentError(
-            f"series psi_{kind.letter} has no convergent direction: the control's "
-            f"exponents ({exps}) equal or straddle its critical value {kind.degree:g}"
-        )
-    j = int(direction)
+    j = int(_select(kind, ctx.phi))
     weight, b = _bases(kind, ctx)
     p = ctx.space.p
     w, arg_scale = weight ** (p * j), b ** (-j)
@@ -265,8 +239,9 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
     so psi(x) = |x|^(lam p) psi(1) is summed once, at |x| = 1, unless psi(1)
     is below float64's normal range; a scale-up past float64 raises.  Two
     degrees (psi_a, psi_c under a sum with r != s, both > 0) sum at each
-    point.  It diverges iff a degree e has j (e - d) <= 0 (direction j,
-    critical exponent d): exact, unlike the rounded rho.
+    point.  The direction j comes from _direction, so j (e - d) > 0 holds
+    for every degree e (d the critical exponent) and the series converges;
+    only its rounded rho can still reach 1, which raises.
 
     Each point adds terms until its tail bound (last term * rho/(1-rho)) is
     below 1e-15 of its running sum, and then that tail bound; only the
@@ -288,8 +263,6 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
     if phi.theta == 0.0 or not degrees:
         return 0.0 if xs.ndim == 0 else np.zeros(xs.shape)
     where = f"series {kind.letter!r} at k = {ctx.params.k}, {phi.form!r} (r={phi.r}, s={phi.s})"
-    if any(j * (e - kind.degree) <= 0 for e in degrees):
-        raise DivergentSeriesError(f"{where} diverges in direction j = {j} (step ratio {rho:.6g})")
     if rho >= 1.0:
         raise InvalidInputError(f"{where} converges, but its step ratio rounds to {rho!r}")
     tail_ratio = rho / (1.0 - rho)
@@ -401,7 +374,7 @@ def _denominator(kind: IterKind, ctx: BoundContext, lam: float) -> float:
 
     It vanishes at the critical exponent lam = d, where this raises.
     """
-    select_direction(lam, kind.degree)
+    _direction(kind, (lam,))
     weight, b = _bases(kind, ctx)
     p = ctx.space.p
     return abs(weight**p - b ** (lam * p))
@@ -505,7 +478,9 @@ def full_bound_power(ctx: BoundContext, x_norm: float) -> float:
 def bound_table(ctx: BoundContext, xs) -> dict:
     """JSON-ready table: directions, applicable closed constants, per-x bounds."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    # per_x reads every slot's direction: a critical control raises here.
+    # A critical control raises here, at its first critical slot in IterKind
+    # order, as select_directions does for the decomposition.
+    j = [int(d) for d in ctx.directions]
     per_x = stability_bound(BoundKind.FULL, ctx, xs)
     phi = ctx.phi
     names = [f"{_FAMILY[r > 0, s > 0]}_{kind.label}" for r, s in phi.terms() for kind in _ODD_KINDS]
@@ -520,7 +495,7 @@ def bound_table(ctx: BoundContext, xs) -> dict:
         "r": phi.r,
         "s": phi.s,
         "form": phi.form,
-        "j": [int(d) for d in ctx.directions],
+        "j": j,
         "constants": {name: corollary_constant(name, ctx, 1.0) for name in names},
         "per_x": [
             {"x": float(x), "bound": float(b)} for x, b in zip(xs, per_x)

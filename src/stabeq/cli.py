@@ -1,9 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 on pass, 1 when a bound is violated, a series diverges, a
-perturbation is uncoverable, an iteration fails to converge, or output
-cannot be written; 2 on invalid input (bad flags, bad config, degenerate
-parameters, critical exponents).
+Exit codes: 0 on pass, 1 when a bound is violated, a perturbation is
+uncoverable, an iteration fails to converge, or output cannot be written;
+2 on invalid input (bad flags, bad config, degenerate parameters, critical
+exponents).
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ import click
 from .approximants import DEFAULT_MAX_N, DEFAULT_TOL
 from .bounds import BoundContext, bound_table
 from .equations import EquationParams, to_json, verify_solution
-from .errors import (
-    CriticalExponentError,
-    DivergentSeriesError,
-    InvalidInputError,
-    UnboundablePerturbationError,
-)
+from .errors import CriticalExponentError, InvalidInputError, UnboundablePerturbationError
 from .harness import (
     ExperimentConfig,
     GridSpec,
@@ -112,7 +107,7 @@ def handles_errors(fn):
         except (InvalidInputError, CriticalExponentError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except (DivergentSeriesError, UnboundablePerturbationError, OSError) as exc:
+        except (UnboundablePerturbationError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
@@ -165,10 +160,8 @@ def decompose(out, **flags):
 def bounds(out, **flags):
     """Tabulate closed-form constants and per-point full bounds (theta = 1)."""
     cfg = _build_config(**flags)
-    ctx = BoundContext.create(
-        EquationParams(cfg.k),
-        PNormSpace(cfg.codomain_dim, cfg.p),
-        cfg.phi_form.instantiate(1.0),
+    ctx = BoundContext(
+        EquationParams(cfg.k), PNormSpace(cfg.codomain_dim, cfg.p), cfg.phi_form.instantiate(1.0)
     )
     table = bound_table(ctx, cfg.grid.points())
     _emit(json.dumps(table, indent=2), out)

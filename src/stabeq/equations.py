@@ -73,11 +73,6 @@ class FunctionHandle:
         ]
         return cls(lambda xs: fn(xs[None, :], *cols).T, space)
 
-    @classmethod
-    def polynomial(cls, space: PNormSpace, a3, a2, a1) -> "FunctionHandle":
-        """Componentwise a3 x^3 + a2 x^2 + a1 x; coefficients scalar or (dim,)."""
-        return cls.componentwise(space, horner_cubic, a3, a2, a1)
-
     def _values(self, xs: np.ndarray) -> np.ndarray:
         """Values at the flat points xs, shape (N, dim)."""
         out = np.asarray(self._fn(xs), dtype=float)
@@ -204,13 +199,16 @@ def operator_residual(
     pnorm(magnitude of the m-th evaluation), so eps * scale is the rounding
     level of the residual; magnitudes are built only at those pairs.  All
     pairs are evaluated in one pass, and each pair's result is that of
-    evaluating it alone; callers bound memory with pair_blocks.
+    evaluating it alone; callers bound memory with pair_blocks.  Where at
+    selects no pair, no magnitude is normed and the scale is empty.
     """
-    acc = size = 0.0
+    skip = at is not None and not at.any()
+    acc, size = 0.0, np.zeros(0) if skip else 0.0
     for c, a, b in kind.terms:
         vals, mag = f._eval(a * X + b * Y, at)
         acc = acc + c * vals
-        size = size + abs(c) * f.space.pnorm(mag)
+        if not skip:
+            size = size + abs(c) * f.space.pnorm(mag)
     return acc, 1.0 + size
 
 

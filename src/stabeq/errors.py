@@ -21,10 +21,6 @@ class CriticalExponentError(ValueError):
     """
 
 
-class DivergentSeriesError(ArithmeticError):
-    """Raised when a nonzero comparison series diverges in its chosen direction."""
-
-
 class UnboundablePerturbationError(ArithmeticError):
     """Raised when calibration meets a residual the control function cannot cover.
 

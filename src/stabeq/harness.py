@@ -343,7 +343,7 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     theta = calibrate_theta(f, params, cfg.phi_form, cfg.grid)
     phi = cfg.phi_form.instantiate(theta)
     dec = decompose(cfg, f)
-    ctx = BoundContext.create(params, space, phi, dec.directions)
+    ctx = BoundContext(params, space, phi)
 
     xs = cfg.grid.points()
     fx = f(xs)

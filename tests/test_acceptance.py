@@ -122,9 +122,7 @@ CONSTANT_CONFIGS = [
 
 def test_criterion_04_closed_constants_match_series():
     """delta = 34 and 34/7 at (k=2, p=1); 20 configs agree with the series."""
-    ctx0 = BoundContext.create(
-        EquationParams(2), PNormSpace(1, 1.0), PowerBound("constant", 1.0)
-    )
+    ctx0 = BoundContext(EquationParams(2), PNormSpace(1, 1.0), PowerBound("constant", 1.0))
     d_a = corollary_constant("delta_additive", ctx0)
     d_c = corollary_constant("delta_cubic", ctx0)
     frozen_ok = abs(d_a - 34.0) <= 1e-9 and abs(d_c - 34.0 / 7.0) <= 1e-9
@@ -133,7 +131,7 @@ def test_criterion_04_closed_constants_match_series():
     worst = 0.0
     assert len(CONSTANT_CONFIGS) == 20
     for k, p, family, phi in CONSTANT_CONFIGS:
-        ctx = BoundContext.create(EquationParams(k), PNormSpace(1, p), phi)
+        ctx = BoundContext(EquationParams(k), PNormSpace(1, p), phi)
         for kind, divisor in (("a", 2.0), ("c", 8.0)):
             series = psi_tilde_bound(kind, ctx, 1.0) ** (1.0 / p)
             assembled = (k * k * abs(1.0 - k * k)) / (divisor * phi.theta) * series

@@ -30,6 +30,7 @@ from stabeq import (
     to_json,
 )
 from stabeq import approximants, equations
+from stabeq.equations import horner_cubic
 from stabeq.harness import decompose
 
 SPACE1 = PNormSpace(1, 1.0)
@@ -337,7 +338,7 @@ def test_decompose_odd_exact_polynomial():
 
 
 def test_decompose_full_exact_polynomial():
-    f = FunctionHandle.polynomial(SPACE1, 2.0, -1.0, 5.0)
+    f = FunctionHandle.componentwise(SPACE1, horner_cubic, 2.0, -1.0, 5.0)
     dec = decompose_full(f, K2)
     xs = np.linspace(-5, 5, 101)
     A, Q, C = dec.components_at(xs)
@@ -376,7 +377,7 @@ def test_decompose_full_respects_direction_choice():
 
 def test_decompose_full_evaluates_nothing_until_a_component_is_called():
     seen = []
-    poly = FunctionHandle.polynomial(SPACE1, 2.0, -1.0, 5.0)
+    poly = FunctionHandle.componentwise(SPACE1, horner_cubic, 2.0, -1.0, 5.0)
 
     def recording(xs):
         seen.append(xs.copy())
@@ -409,7 +410,7 @@ def test_component_diagnostics_cover_exactly_the_evaluated_points():
     a1=st.floats(min_value=-3, max_value=3, allow_nan=False),
 )
 def test_decompose_full_recovers_random_polynomials(a3, a2, a1):
-    f = FunctionHandle.polynomial(SPACE1, a3, a2, a1)
+    f = FunctionHandle.componentwise(SPACE1, horner_cubic, a3, a2, a1)
     dec = decompose_full(f, K2)
     xs = np.array([-2.0, 0.5, 3.0])
     A, Q, C = dec.components_at(xs)

@@ -15,7 +15,6 @@ from stabeq import (
     BoundKind,
     CriticalExponentError,
     Direction,
-    DivergentSeriesError,
     EquationParams,
     InvalidInputError,
     IterKind,
@@ -25,11 +24,10 @@ from stabeq import (
     corollary_constant,
     full_bound_power,
     psi_tilde_bound,
-    select_direction,
     select_directions,
     stability_bound,
 )
-from stabeq.bounds import _series_geometry
+from stabeq.bounds import _series_exponents, _series_geometry
 
 # Residual decomposition terms of the odd-part relation, instantiated at the
 # two k values used below: absolute coefficients and (a_m, b_m) multipliers.
@@ -48,8 +46,8 @@ NINE_TERMS = {
 EPS = np.finfo(float).eps
 
 
-def ctx_for(k, p, phi, directions=None):
-    return BoundContext.create(EquationParams(k), PNormSpace(1, p), phi, directions)
+def ctx_for(k, p, phi):
+    return BoundContext(EquationParams(k), PNormSpace(1, p), phi)
 
 
 def psi_ref_odd(base, k, p, phi, x, j, n_terms):
@@ -185,10 +183,11 @@ def test_power_bound_exponents_and_y_slot():
 
 
 def test_select_direction_by_critical_exponent():
-    assert select_direction(4.0, 2.0) is Direction.CONTRACT
-    assert select_direction(0.0, 2.0) is Direction.EXPAND
-    with pytest.raises(CriticalExponentError):
-        select_direction(2.0, 2.0)
+    # A y-power control gives psi_e the degree s, against its critical value 2.
+    assert select_directions(PowerBound("sum", 1.0, 0.0, 4.0))[0] is Direction.CONTRACT
+    assert select_directions(PowerBound("constant", 1.0))[0] is Direction.EXPAND
+    with pytest.raises(CriticalExponentError, match="psi_e .* critical value 2$"):
+        select_directions(PowerBound("sum", 1.0, 0.0, 2.0))
 
 
 def test_select_directions_constant_control():
@@ -211,8 +210,9 @@ def test_select_directions_critical_raises():
 def test_lenient_context_marks_unusable_slot_only():
     """A straddling sum still serves the quadratic bound; the odd series refuse."""
     ctx = ctx_for(2, 1.0, PowerBound("sum", 1.0, 0.5, 4.0))
-    assert ctx.directions[0] is Direction.CONTRACT
-    assert ctx.directions[1] is None
+    assert _series_geometry(IterKind.QUADRATIC, ctx)[2] == int(Direction.CONTRACT)
+    with pytest.raises(CriticalExponentError, match="psi_a"):
+        ctx.directions
     # s = 4 > 2 contracts the quadratic series: sum (4/16)^i x^4 = x^4 / 3
     assert psi_tilde_bound("e", ctx, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert stability_bound("quadratic", ctx, 1.0) == pytest.approx(1.0 / 24.0, rel=1e-12)
@@ -221,10 +221,10 @@ def test_lenient_context_marks_unusable_slot_only():
     # theta = 0 zeroes the series but leaves the additive slot without a
     # direction: the quadratic bound is served, every reader of psi_a raises.
     zero = ctx_for(2, 1.0, PowerBound("sum", 0.0, 0.5, 4.0))
-    assert zero.directions == ctx.directions
     assert psi_tilde_bound("e", zero, 1.0) == 0.0
     assert stability_bound("quadratic", zero, [0.0, 1.0]).tolist() == [0.0, 0.0]
     for call in (
+        lambda: zero.directions,
         lambda: psi_tilde_bound("a", zero, 1.0),
         lambda: step_ratio("a", zero),
         lambda: stability_bound("full", zero, 1.0),
@@ -364,24 +364,6 @@ def test_psi_zero_theta_and_vanishing_quadratic():
 
 
 def test_psi_divergent_direction_raises():
-    ctx = ctx_for(
-        2,
-        1.0,
-        PowerBound("sum", 1.0, 0.0, 4.0),
-        directions=(Direction.EXPAND, Direction.EXPAND, Direction.EXPAND),
-    )
-    for kind in "ae":
-        with pytest.raises(DivergentSeriesError):
-            psi_tilde_bound(kind, ctx, 1.0)
-    # A critical degree under the wrong direction diverges whatever its rounded
-    # step ratio: at p = 0.75 that ratio is 1 - 2^-53, below 1.
-    expand = (Direction.EXPAND, Direction.EXPAND, Direction.EXPAND)
-    for p in (0.75, 0.5, 1.0, 0.3):
-        ctx = ctx_for(2, p, PowerBound("sum", 1.0, 1.0, 0.0), directions=expand)
-        with pytest.raises(DivergentSeriesError):
-            psi_tilde_bound("a", ctx, 1.0)
-    ctx = ctx_for(2, 0.75, PowerBound("sum", 1.0, 1.0, 0.0), directions=expand)
-    assert step_ratio("a", ctx) == 0.9999999999999999
     # One ulp above the critical degree the series converges, but its step
     # ratio rounds to 1, so no float64 tail bound exists.
     ctx = ctx_for(2, 0.5, PowerBound("sum", 1.0, float(np.nextafter(1.0, 2.0)), 0.0))
@@ -814,6 +796,38 @@ def test_bound_table_raises_or_is_strict_json(k, p, theta):
         json.dumps(table, allow_nan=False)
         if theta == 0.0:
             assert [row["bound"] for row in table["per_x"]] == [0.0] * 4
+
+
+# One ulp either side of each critical value 1, 2 and 3.
+NEAR_CRITICAL = [float(np.nextafter(d, d + side)) for d in (1.0, 2.0, 3.0) for side in (-1, 1)]
+
+
+@pytest.mark.parametrize("k", [2, 3, -2, 5])
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_a_selected_direction_makes_every_degree_converge(k, p):
+    """Wherever select_directions returns, each series reads its slot's j,
+    and every live degree e of the slot has j (e - d) > 0, the exact
+    condition for the series to converge, also one ulp from a critical value."""
+    near = [0.0, *NEAR_CRITICAL]
+    controls = (
+        SWEEP_CONTROLS
+        + [PowerBound("sum", 1.0, r, s) for r in near for s in near if r + s > 0]
+        + [PowerBound("product", 1.0, r, s) for r in NEAR_CRITICAL for s in NEAR_CRITICAL]
+    )
+    served = 0
+    for phi in controls:
+        try:
+            directions = select_directions(phi)
+        except CriticalExponentError:
+            continue
+        served += 1
+        ctx = ctx_for(k, p, phi)
+        assert ctx.directions == directions
+        for kind, j in zip(IterKind, directions):
+            assert _series_geometry(kind, ctx)[2] == int(j)
+            for e in _series_exponents(kind, phi):
+                assert int(j) * (e - kind.degree) > 0, (phi, kind)
+    assert (served, len(controls)) == (107, 169)  # the rest raise
 
 
 def test_bound_table_straddling_control_raises():

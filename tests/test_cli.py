@@ -103,18 +103,21 @@ def test_bounds_table_sum_control(runner):
 
 
 def test_bounds_critical_exponent_exits_2(runner):
-    # The message names the series, the control's exponents and the critical value.
+    # Every subcommand that reads the directions names the first critical
+    # series in slot order (e, a, c), the control's exponents in it and the
+    # critical value, in one message.
     for phi, series, exponents, critical in (
         ("sum:1:0", "a", "1", 1),
-        ("sum:0.5:2", "a", "0.5, 2", 1),  # exponents on both sides of 1
+        ("sum:0.5:2", "e", "2", 2),  # psi_a's exponents (0.5, 2) straddle 1 too
         ("sum:0:2", "e", "2", 2),
     ):
-        result = invoke(runner, "bounds", "--phi", phi)
-        assert result.exit_code == 2
-        assert result.stderr == (
-            f"error: series psi_{series} has no convergent direction: the control's "
-            f"exponents ({exponents}) equal or straddle its critical value {critical}\n"
-        )
+        for command in ("experiment", "decompose", "bounds"):
+            result = invoke(runner, command, "--phi", phi)
+            assert result.exit_code == 2, command
+            assert result.stderr == (
+                f"error: series psi_{series} has no convergent direction: the control's "
+                f"exponents ({exponents}) equal or straddle its critical value {critical}\n"
+            ), command
 
 
 # --- experiment -----------------------------------------------------------

@@ -63,16 +63,17 @@ def test_the_degree_is_the_critical_exponent_of_the_series(kind):
     with pytest.raises(CriticalExponentError):
         select_directions(PowerBound("sum", 1.0, 0.0, d))
     # The series is named by the kind or by its letter.
-    ctx = BoundContext.create(EquationParams(2), SPACE1, PowerBound("sum", 1.0, 0.0, d + 0.5))
+    ctx = BoundContext(EquationParams(2), SPACE1, PowerBound("sum", 1.0, 0.0, d + 0.5))
     assert psi_tilde_bound(kind, ctx, XS).tolist() == psi_tilde_bound(kind.letter, ctx, XS).tolist()
+    # 2^-20 from d, each side in its own direction, the step ratio is just below 1.
     for k in (2, -3, 5):
         for p in (1.0, 0.5):
             for direction in Direction:
-                ctx = BoundContext.create(
-                    EquationParams(k), PNormSpace(1, p), PowerBound("sum", 1.0, 0.0, d),
-                    (direction,) * 3,
-                )
-                assert _series_geometry(kind, ctx)[3] == pytest.approx(1.0, rel=1e-14)
+                e = d + int(direction) * 2.0**-20
+                ctx = BoundContext(EquationParams(k), PNormSpace(1, p), PowerBound("sum", 1.0, 0.0, e))
+                _, _, j, rho = _series_geometry(kind, ctx)
+                assert j == int(direction)
+                assert 1.0 - 1e-5 < rho < 1.0
 
 
 def test_diagnostics_are_keyed_by_the_labels_in_member_order():

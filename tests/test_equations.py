@@ -24,7 +24,7 @@ from stabeq import (
     verify_solution,
 )
 from stabeq import equations
-from stabeq.equations import _BLOCK, operator_residual, pair_blocks
+from stabeq.equations import _BLOCK, horner_cubic, operator_residual, pair_blocks
 
 SPACE1 = PNormSpace(1, 1.0)
 
@@ -32,7 +32,7 @@ RNG_SEED = 20260821
 
 
 def poly_handle(a3, a2, a1, space=SPACE1):
-    return FunctionHandle.polynomial(space, a3, a2, a1)
+    return FunctionHandle.componentwise(space, horner_cubic, a3, a2, a1)
 
 
 def rand_points(n, lo=-5.0, hi=5.0, seed=RNG_SEED):
@@ -77,7 +77,7 @@ def test_handle_scalar_and_array_calls():
 
 def test_polynomial_vector_coefficients():
     space = PNormSpace(2, 1.0)
-    f = FunctionHandle.polynomial(space, (1.0, 0.0), (0.0, 1.0), 0.0)
+    f = FunctionHandle.componentwise(space, horner_cubic, (1.0, 0.0), (0.0, 1.0), 0.0)
     out = f(2.0)
     assert out[0] == 8.0 and out[1] == 4.0
 
@@ -171,7 +171,7 @@ def test_operator_scalar_call_and_broadcasting():
 
 def test_operator_vector_codomain():
     space = PNormSpace(2, 0.5)
-    f = FunctionHandle.polynomial(space, (1.0, 0.0), (0.0, 2.0), (3.0, -1.0))
+    f = FunctionHandle.componentwise(space, horner_cubic, (1.0, 0.0), (0.0, 2.0), (3.0, -1.0))
     pts = rand_points(50)
     vals = difference_operator(f, EquationParams(2), pts, -pts)
     assert vals.shape == (50, 2)

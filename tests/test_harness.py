@@ -576,6 +576,31 @@ def test_calibrate_theta_matches_the_full_array_reference(dim, phi):
     assert calibrate_theta(f, params, phi, grid.pairs()) == want
 
 
+@pytest.mark.parametrize("dim", [1, 4])
+def test_calibration_norms_no_magnitudes_where_no_pair_asks_for_a_scale(monkeypatch, dim):
+    """A constant control is positive at every pair, so no rounding scale is
+    built: one pnorm call per tile, on its residuals, and theta is bitwise
+    the full-array reference's."""
+    grid = GridSpec(-5.0, 5.0, 181)
+    cfg = ExperimentConfig(codomain_dim=dim, noise=NoiseSpec("bounded_smooth", 0.01, 5), grid=grid)
+    f = make_test_function(cfg)
+    params = EquationParams(2)
+    want, _ = full_array_theta(f, params, cfg.phi_form, grid.pairs())
+    X, Y = grid.pairs()[:7].T
+    kind = EquationKind.general_mixed(params)
+    resid, scale = operator_residual(f, kind, X, Y)
+    calls = []
+    pnorm = PNormSpace.pnorm
+    monkeypatch.setattr(PNormSpace, "pnorm", lambda self, v: calls.append(np.shape(v)) or pnorm(self, v))
+    none_resid, none_scale = operator_residual(f, kind, X, Y, np.zeros(7, bool))
+    assert calls == [] and none_scale.shape == (0,)
+    assert none_resid.tolist() == resid.tolist()
+    theta = calibrate_theta(f, params, cfg.phi_form, grid)
+    tiles = list(equations.pair_blocks(grid, dim))
+    assert calls == [(X.size, dim) for X, _ in tiles]
+    assert theta.hex() == want.hex()
+
+
 def test_calibrate_theta_names_the_first_uncovered_pair():
     """The x = 0 row, where a product control vanishes, lies past the first
     block; the error still names the pair the full-array scan finds first."""
