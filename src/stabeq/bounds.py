@@ -13,10 +13,12 @@ component's limit: approximants.IterKind gives its letter, its base b (k or
 the single row (1, 0, 1) with P = 1; psi_a and psi_c read the nine rows the
 equation fixes, with P = (k^2 |1-k^2|)^(-p).  Where phi has one degree lam
 in a series' slot, the series is homogeneous, psi(x) = |x|^(lam p) psi(1),
-and is summed once, at |x| = 1.  A slot whose control exponents sit at or
-straddle the critical value has no convergent direction and raises
-CriticalExponentError at every theta, even where its series is zero.  Each
-recovered component satisfies a bound built from M = 2^(1/p-1) and psi^(1/p).
+and geometric, so psi(1) is its first term over 1 - rho, in closed form;
+only a series of two degrees is summed, term by term, to a tail bound.  A
+slot whose control exponents sit at or straddle the critical value has no
+convergent direction and raises CriticalExponentError at every theta, even
+where its series is zero.  Each recovered component satisfies a bound built
+from M = 2^(1/p-1) and psi^(1/p).
 
 For power controls every series is geometric, and the paper's closed forms
 evaluate the same quantities without summation.  They are one constant at
@@ -28,6 +30,7 @@ routes check one against the other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -42,8 +45,8 @@ from .quasinorm import PNormSpace
 
 _FORMS = ("constant", "sum", "product")
 
-# Adaptive summation: stop once the geometric tail bound is this small
-# relative to the accumulated sum, or at the hard term cap.
+# Summing a two-degree series: stop once the geometric tail bound is this
+# small relative to the accumulated sum, or at the hard term cap.
 _TAIL_REL = 1e-15
 _TERM_CAP = 1 << 20
 _CHUNK = 64
@@ -232,25 +235,30 @@ def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, i
 
 
 def psi_tilde_bound(kind, ctx: BoundContext, x):
-    """The comparison series at |x|: terms in chunks of _CHUNK, plus a geometric tail bound.
+    """The comparison series at |x|: in closed form for one degree, else summed in chunks.
 
     One degree lam in the series' slot (_series_exponents) makes each term
     homogeneous, phi(a_m t xi, b_m t xi)^p = t^(lam p) phi(a_m xi, b_m xi)^p,
-    so psi(x) = |x|^(lam p) psi(1) is summed once, at |x| = 1, unless psi(1)
-    is below float64's normal range; a scale-up past float64 raises.  Two
-    degrees (psi_a, psi_c under a sum with r != s, both > 0) sum at each
-    point.  The direction j comes from _direction, so j (e - d) > 0 holds
-    for every degree e (d the critical exponent) and the series converges;
-    only its rounded rho can still reach 1, which raises.
+    and the series geometric: term i is rho^(i - start) times the first,
+    rho = |b|^(p j (d - lam)) with d the critical exponent.  So psi(1) is the
+    first term over 1 - rho, with 1 - rho = -expm1(p j (d - lam) ln|b|) free
+    of the cancellation 1.0 - rho suffers as rho -> 1, and psi(x) =
+    |x|^(lam p) psi(1); where psi(1) is below float64's normal range or past
+    it, the same closed form is taken at each point instead.  A value past
+    float64 raises, naming x.  The direction j comes from _direction, so
+    j (e - d) > 0 holds for every degree e and the series converges; only
+    its rounded rho can still reach 1, which raises.
 
-    Each point adds terms until its tail bound (last term * rho/(1-rho)) is
-    below 1e-15 of its running sum, and then that tail bound; only the
-    points still summing read the next chunk, so a point's value is bitwise
-    the same alone or in a batch.  Nothing rounds the float64 sum up, so it
-    can fall a few ulps below the exact sum.  A point stops before its first
-    term that is not finite in float64: for a huge |k| the argument scale
-    k^i overflows within a chunk while its weight underflows, and as
-    term(i+1) <= rho * term(i) the terms left out are negligible.
+    Two degrees (psi_a, psi_c under a sum with r != s, both > 0) are summed
+    at each point in chunks of _CHUNK terms: each point adds terms until its
+    tail bound (last term * rho/(1-rho)) is below 1e-15 of its running sum,
+    and then that tail bound; only the points still summing read the next
+    chunk, so a point's value is bitwise the same alone or in a batch.  A
+    point stops before its first term that is not finite in float64 (as
+    where the argument scale 2^i leaves float64, at term 1024), and as
+    term(i+1) <= rho * term(i) the tail bound still covers the terms left
+    out.  Nothing rounds either route up, so it can fall a few ulps below
+    the exact sum.
     """
     kind = _as_member(kind, IterKind, attrgetter("letter"), "series kind")
     w, arg_scale, j, rho = _series_geometry(kind, ctx)
@@ -265,22 +273,31 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
     where = f"series {kind.letter!r} at k = {ctx.params.k}, {phi.form!r} (r={phi.r}, s={phi.s})"
     if rho >= 1.0:
         raise InvalidInputError(f"{where} converges, but its step ratio rounds to {rho!r}")
-    tail_ratio = rho / (1.0 - rho)
     pref, rows = _series_rows(kind, ctx)
     p = ctx.space.p
+    start = (1 + j) // 2
+
+    def geometric(pts):
+        # (first term, psi) at each point: the first term's rows read in one
+        # phi call and added in row order, and psi that over 1 - rho.
+        (lam,) = degrees
+        one_minus_rho = -math.expm1(p * j * (kind.degree - lam) * math.log(_bases(kind, ctx)[1]))
+        c, a, b = np.array(rows).T[:, :, None]
+        xi = arg_scale**start * pts
+        first = w**start * (pref * np.cumsum(c * phi.value(a * xi, b * xi) ** p, axis=0)[-1])
+        return first, first / one_minus_rho
 
     def summed(pts):
-        start = (1 + j) // 2
+        tail_ratio = rho / (1.0 - rho)
         total, last = np.zeros_like(pts), np.zeros_like(pts)
         live = np.arange(pts.size)  # the points still summing
         for i in range(start, start + _TERM_CAP, _CHUNK):
             idx = np.arange(i, i + _CHUNK).astype(float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                xi = (arg_scale**idx)[:, None] * pts[live][None, :]  # (T, L)
-                acc = np.zeros_like(xi)
-                for c_m, a_m, b_m in rows:
-                    acc += c_m * phi.value(a_m * xi, b_m * xi) ** p
-                terms = (w**idx)[:, None] * (pref * acc)
+            xi = (arg_scale**idx)[:, None] * pts[live][None, :]  # (T, L)
+            acc = np.zeros_like(xi)
+            for c_m, a_m, b_m in rows:
+                acc += c_m * phi.value(a_m * xi, b_m * xi) ** p
+            terms = (w**idx)[:, None] * (pref * acc)
             # Each point's terms up to its first one not finite in float64.
             finite = np.logical_and.accumulate(np.isfinite(terms), axis=0)
             n_finite = finite.sum(axis=0)
@@ -298,15 +315,19 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
                 break
         return total + last * tail_ratio
 
-    total = None
-    if len(degrees) == 1 and (psi1 := summed(np.ones(1))[0]) >= _TINY:
-        with np.errstate(over="ignore", invalid="ignore"):
+    # A value past float64 is caught and named below, not warned about here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(degrees) > 1:
+            total = summed(np.abs(flat))
+        elif _TINY <= (psi1 := geometric(np.ones(1))[1][0]) < np.inf:
             total = np.abs(flat) ** (min(degrees) * p) * psi1
-        if np.isinf(total).any():
-            bad = float(flat[np.isinf(total)][0])
-            raise InvalidInputError(f"{where} leaves float64 at x = {bad!r}")
-    if total is None:
-        total = summed(np.abs(flat))
+        else:  # psi(1) outside float64's normal range: the closed form at each point
+            first, total = geometric(np.abs(flat))
+            if not np.isfinite(first).all():
+                raise InvalidInputError(f"{where} overflows float64 at term {start}")
+    if np.isinf(total).any():
+        bad = float(flat[np.isinf(total)][0])
+        raise InvalidInputError(f"{where} leaves float64 at x = {bad!r}")
     # The exact sum is positive where x != 0 or a degree is 0: a float 0 there
     # would certify a residual of 0.
     lost = (total == 0.0) & ((flat != 0.0) | (0.0 in degrees))

@@ -384,17 +384,13 @@ def _leaves(row: ReportRow) -> tuple:
     return sum((c if isinstance(c, tuple) else (c,) for c in _row_cells(row)), ())
 
 
-def _json_number(v) -> str:
-    """A leaf as json.dumps writes it; float.__repr__ directly for a finite float."""
-    return float.__repr__(v) if type(v) is float and v - v == 0.0 else json.dumps(v)
-
-
 @functools.cache
 def _row_template(format: str, dim: int) -> str:
     """One row as a %-template over its leaves: one slot per scalar field, dim per tuple.
 
     CSV slots are %.17g, the bytes of format(float(v), ".17g").  JSON slots
-    are %s over _json_number, at json.dumps(indent=2)'s layout of a report row.
+    are %s over the leaf as json.dumps writes it, at json.dumps(indent=2)'s
+    layout of a report row.
     """
     cells = [(json.dumps(json_key(f)), f.type.startswith("tuple")) for f in fields(ReportRow)]
     if format == "csv":
@@ -429,9 +425,15 @@ def report_to_csv(report: StabilityReport) -> str:
 def report_to_json(report: StabilityReport) -> str:
     """json.dumps(to_json(report), indent=2)'s bytes and a newline; rows (key 1) by template."""
     text = json.dumps(to_json(replace(report, rows=[])), indent=2) + "\n"
+    if not report.rows:
+        return text
     template = _row_template("json", _rows_dim(report.rows))
-    rows = ",\n".join([template % tuple(map(_json_number, _leaves(r))) for r in report.rows])
-    return text.replace('"rows": []', f'"rows": [\n{rows}\n  ]', 1) if rows else text
+    # Every row's leaves in one encoder call: a flat list of numbers is
+    # written as its items joined by ", ", which no number's text contains.
+    cells = json.dumps([v for row in report.rows for v in _leaves(row)])[1:-1].split(", ")
+    n = len(cells) // len(report.rows)
+    rows = ",\n".join([template % tuple(cells[i : i + n]) for i in range(0, len(cells), n)])
+    return text.replace('"rows": []', f'"rows": [\n{rows}\n  ]', 1)
 
 
 def emit_report(report: StabilityReport, format: str) -> str:

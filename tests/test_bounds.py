@@ -113,6 +113,10 @@ ORACLE_CASES = [
     (3, 0.5, PowerBound("sum", 2.16, 4.0, 4.0)),
     (2, 1.0, PowerBound("constant", 1.0)),
     (2, 0.75, PowerBound("product", 1.0, 0.25, 0.5)),
+    # rho -> 1: psi_a's step ratio is 2^(-0.03), 2^(-0.01) and 2^(-0.03).
+    (2, 0.3, PowerBound("sum", 1.0, 0.9, 0.9)),
+    (2, 1.0, PowerBound("sum", 1.0, 0.99, 0.99)),
+    (2, 0.3, PowerBound("product", 1.0, 0.45, 0.45)),
 ]
 
 
@@ -392,10 +396,11 @@ def test_psi_stops_at_the_last_finite_term_for_huge_k():
                 psi_tilde_bound("e", ctx, x)
 
 
-def test_series_stopping_where_a_chunk_starts_past_float64_keeps_its_tail_bound():
-    """At k = 270 the control |u|^1.999 leaves float64 at term 64, the first
-    term of the second chunk; the sum stops before it and the tail bound
-    carries the rest, so the bound still dominates the exact sum."""
+def test_a_geometric_series_with_rho_near_one_in_closed_form_dominates_its_exact_sum():
+    """At k = 270 the control |u|^1.999 gives psi_e a step ratio 1 - 2.8e-4,
+    and summed term by term its terms would leave float64 at term 64; its
+    first term over 1 - rho, taken by expm1, still dominates the exact sum
+    and stays within 1e-12 of it."""
     ctx = ctx_for(270, 0.05, PowerBound("sum", 1.0, 0.0, 1.999))
     got = psi_tilde_bound("e", ctx, 1.0)
     with mp.workdps(50):
@@ -404,6 +409,50 @@ def test_series_stopping_where_a_chunk_starts_past_float64_keeps_its_tail_bound(
         exact = 1 / (1 - rho)
         assert got >= exact
         assert (got - exact) / exact <= 1e-12
+
+
+def test_a_two_degree_sum_stopping_where_its_arguments_leave_float64_keeps_its_tail_bound():
+    """Under sum:0.9:0.95 at p = 0.3, psi_a's step ratio is 2^(-0.015), so
+    its tail test has not held when 2^i leaves float64 at term 1024; the sum
+    stops before that term and the tail bound carries the rest, so the bound
+    still dominates the series summed to 4,000 terms in mpmath."""
+    k, p, phi = 2, 0.3, PowerBound("sum", 1.0, 0.9, 0.95)
+    got = psi_tilde_bound("a", ctx_for(k, p, phi), 1.0)
+    coeffs, args = NINE_TERMS[k]
+    with mp.workdps(20):
+        # EXPAND: term i reads phi at 2^i (a_m, b_m) with weight 2^(-ip).
+        rows = [
+            (mp.mpf(c) ** p, abs(mp.mpf(a)) ** phi.r, abs(mp.mpf(b)) ** phi.s)
+            for c, (a, b) in zip(coeffs, args)
+        ]
+        u, v, step = mp.mpf(2) ** phi.r, mp.mpf(2) ** phi.s, mp.mpf(2) ** -p
+        total, ur, vs, wi = mp.mpf(0), mp.mpf(1), mp.mpf(1), mp.mpf(1)
+        for _ in range(4000):
+            total += wi * mp.fsum(c * (ar * ur + bs * vs) ** p for c, ar, bs in rows)
+            ur, vs, wi = ur * u, vs * v, wi * step
+        total *= mp.mpf(k * k * abs(1 - k * k)) ** -p
+        assert got >= total
+        assert (got - total) / total <= 1e-12
+
+
+def test_a_one_degree_series_reads_its_control_once_per_call(monkeypatch):
+    """The closed form reads every row of its first term in one phi call, at
+    any step ratio: rho runs from 2^(-3) to 1 - 2.8e-4 below."""
+    calls = []
+    value = PowerBound.value
+    monkeypatch.setattr(PowerBound, "value", lambda self, x, y: calls.append(1) or value(self, x, y))
+    xs = np.linspace(-5.0, 5.0, 101)
+    for k, p, phi, kinds in (
+        (2, 1.0, PowerBound("constant", 1.0), "eac"),
+        (3, 0.5, PowerBound("sum", 1.0, 4.0, 4.0), "eac"),
+        (270, 0.05, PowerBound("sum", 1.0, 0.0, 1.999), "e"),
+    ):
+        ctx = ctx_for(k, p, phi)
+        for kind in kinds:
+            for x in (1.0, xs):
+                calls.clear()
+                psi_tilde_bound(kind, ctx, x)
+                assert len(calls) == 1, (k, p, phi, kind)
 
 
 def test_a_positive_series_that_underflows_raises_and_exact_zeros_stay():
@@ -468,6 +517,30 @@ def test_huge_x_scales_up_or_raises_naming_x():
     for kind in BoundKind:
         with pytest.raises(InvalidInputError, match="overflows at x = 1e\\+100"):
             stability_bound(kind, ctx, [1.0, 1e100])
+
+
+@pytest.mark.parametrize(
+    "k, p, phi, message",
+    [
+        # One degree: a finite first term over 1 - rho = 0.0069.
+        (2, 1.0, PowerBound("sum", 2e305, 0.99, 0.99), "leaves float64 at x = 1.0"),
+        # Two degrees, summed.
+        (2, 1.0, PowerBound("sum", 1e306, 0.9, 0.95), "leaves float64 at x = 1.0"),
+        # phi itself overflows at |x| = 1, though psi(1e-3) is about 1e149.
+        (3, 0.5, PowerBound("sum", 1e307, 4.0, 4.0), "overflows float64 at term 1"),
+    ],
+)
+def test_a_series_past_float64_at_one_keeps_the_points_where_it_is_finite(k, p, phi, message):
+    """psi_a(1) is past float64: a point where psi is finite keeps a bound on
+    it, and the first x past float64 is named, with no numpy warning."""
+    big = ctx_for(k, p, phi)
+    unit = ctx_for(k, p, PowerBound("sum", 1.0, phi.r, phi.s))
+    got = psi_tilde_bound("a", big, [0.0, 1e-3])
+    assert got[0] == 0.0
+    assert np.isfinite(got[1])
+    assert got[1] >= phi.theta**p * psi_tilde_bound("a", unit, 1e-3) * (1 - 1e-14)
+    with pytest.raises(InvalidInputError, match=f"series 'a' .* {message}"):
+        psi_tilde_bound("a", big, [1e-3, 1.0])
 
 
 # --- stability bounds -----------------------------------------------------
