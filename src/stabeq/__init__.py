@@ -34,7 +34,6 @@ from .equations import (
     EquationParams,
     FunctionHandle,
     SolutionReport,
-    difference_operator,
     parity_split,
     residual,
     to_json,
@@ -93,7 +92,6 @@ __all__ = [
     "calibrate_theta",
     "corollary_constant",
     "decompose_full",
-    "difference_operator",
     "emit_report",
     "full_bound_power",
     "make_test_function",

@@ -23,7 +23,6 @@ the point diverged and keeps the last finite value rather than raising.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -220,8 +219,9 @@ class _Limit:
         self._last_step = np.zeros(n_pts)
         self._converged = np.zeros(n_pts, dtype=bool)
         self.live = np.ones(n_pts, dtype=bool)  # not yet stopped
-        # What the next level reads of the last one at each live point, in
-        # index order: its iterate, whether its step was small, and that step.
+        # What the next level reads of the last one at each live point of the
+        # chunk being taken (chunks run one after another, each from level 0),
+        # in index order: its iterate, whether its step was small, and that step.
         self._carry = None
 
     def take(self, levels: range, idx: np.ndarray, rungs: range, vals, mag) -> None:
@@ -269,14 +269,14 @@ class _Limit:
         self._last_step[pts] = np.where(kept, step[at], np.inf)
         self._converged[pts] = ok[at]
 
-    def finish(self) -> tuple[np.ndarray, ConvergenceDiagnostics]:
-        """The (N, dim) limits and their worst case."""
+    def finish(self, shape: tuple) -> tuple[np.ndarray, ConvergenceDiagnostics]:
+        """The limits, shape + (dim,), and their worst case."""
         diag = ConvergenceDiagnostics(
             n_used=int(self._n_used.max(initial=0)),
             last_step=float(self._last_step.max(initial=0.0)),
             converged=bool(self._converged.all()),
         )
-        return self._result, diag
+        return self._result.reshape(shape + self._result.shape[-1:]), diag
 
 
 def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandle, x):
@@ -314,8 +314,9 @@ def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandl
     The points are taken in chunks of equations._BLOCK // (2 (_BLOCK_LEVELS
     + 1) dim), the rungs one block reads at x and -x, so one block's arrays
     keep to the float budget of pair_blocks' tiles at any number of points.
-    Each point's arithmetic is that of taking it alone, and the chunks'
-    diagnostics are merged, so chunking changes neither.
+    Each chunk runs on its own _Ladder into one _Limit per spec over every
+    point, and a point's arithmetic is that of taking it alone, so chunking
+    changes neither values nor diagnostics.
 
     spec may also be a tuple of odd-kind specs with one direction (A's and
     C's).  They read the same rungs, so they run on one _Ladder: each
@@ -330,31 +331,22 @@ def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandl
         raise InvalidInputError("a ladder takes one spec, or odd-kind specs of one direction")
     xs = np.asarray(x, dtype=float)
     X = xs.reshape(-1)
-    size = max(1, equations._BLOCK // (2 * (_BLOCK_LEVELS + 1) * f.space.dim))
-    # One chunk, empty, when there are no points.
-    chunks = [_take_points(specs, f, X[lo : lo + size]) for lo in range(0, max(X.size, 1), size)]
-    out = []
-    for parts in zip(*chunks):  # one spec's (values, diagnostics) in each chunk
-        vals = np.concatenate([v for v, _ in parts])
-        diag = functools.reduce(ConvergenceDiagnostics.merge, [d for _, d in parts])
-        out.append((vals[0] if xs.ndim == 0 else vals.reshape(xs.shape + vals.shape[-1:]), diag))
-    return tuple(out) if isinstance(spec, tuple) else out[0]
-
-
-def _take_points(specs: tuple[IterationSpec, ...], f: FunctionHandle, X: np.ndarray):
-    """take_limit of specs on one ladder at the flat points X: (values, diagnostics) per spec."""
-    ladder = _Ladder(specs[0], f, X)
     limits = [_Limit(s, f.space, X.size) for s in specs]
-    lo, hi = 0, 1  # level 1 alone: exact solutions stop there
+    size = max(1, equations._BLOCK // (2 * (_BLOCK_LEVELS + 1) * f.space.dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        while live := [lim for lim in limits if lim.live.any()]:
-            levels = range(lo, min(hi, max(lim.spec.max_n for lim in live)) + 1)
-            idx = np.flatnonzero(functools.reduce(np.logical_or, (lim.live for lim in live)))
-            block = ladder.block(levels, idx)
-            for lim in live:
-                lim.take(levels, idx, *block)
-            lo, hi = hi + 1, hi + _BLOCK_LEVELS
-    return [lim.finish() for lim in limits]
+        for lo in range(0, X.size, size):
+            chunk = slice(lo, lo + size)
+            ladder = _Ladder(specs[0], f, X[chunk])
+            first, last = 0, 1  # level 1 alone: exact solutions stop there
+            while live := [lim for lim in limits if lim.live[chunk].any()]:
+                levels = range(first, min(last, max(lim.spec.max_n for lim in live)) + 1)
+                idx = np.flatnonzero(np.any([lim.live[chunk] for lim in live], axis=0))
+                block = ladder.block(levels, idx)
+                for lim in live:
+                    lim.take(levels, lo + idx, *block)
+                first, last = last + 1, last + _BLOCK_LEVELS
+    out = tuple(lim.finish(xs.shape) for lim in limits)
+    return out if isinstance(spec, tuple) else out[0]
 
 
 class LimitFunction(FunctionHandle):

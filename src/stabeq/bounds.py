@@ -37,6 +37,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import equations
 from .approximants import Direction, IterKind
 from .equations import EquationParams
 from .errors import CriticalExponentError, InvalidInputError
@@ -250,7 +251,8 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
     its rounded rho can still reach 1, which raises.
 
     Two degrees (psi_a, psi_c under a sum with r != s, both > 0) are summed
-    at each point in chunks of _CHUNK terms: each point adds terms until its
+    at each point in chunks of _CHUNK terms, equations._BLOCK // _CHUNK
+    points at a time (so to the float budget): each point adds terms until its
     tail bound (last term * rho/(1-rho)) is below 1e-15 of its running sum,
     and then that tail bound; only the points still summing read the next
     chunk, so a point's value is bitwise the same alone or in a batch.  A
@@ -318,7 +320,9 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
     # A value past float64 is caught and named below, not warned about here.
     with np.errstate(over="ignore", invalid="ignore"):
         if len(degrees) > 1:
-            total = summed(np.abs(flat))
+            pts, size = np.abs(flat), max(1, equations._BLOCK // _CHUNK)
+            parts = [summed(pts[lo : lo + size]) for lo in range(0, pts.size, size)]
+            total = np.concatenate(parts) if parts else pts
         elif _TINY <= (psi1 := geometric(np.ones(1))[1][0]) < np.inf:
             total = np.abs(flat) ** (min(degrees) * p) * psi1
         else:  # psi(1) outside float64's normal range: the closed form at each point
@@ -393,12 +397,19 @@ CONSTANT_NAMES = tuple(
 def _denominator(kind: IterKind, ctx: BoundContext, lam: float) -> float:
     """|(b^d)^p - |b|^(lam p)|: a closed form's denominator at control degree lam.
 
-    It vanishes at the critical exponent lam = d, where this raises.
+    It vanishes at the critical exponent lam = d, and can round to 0 within
+    rounding of it; both raise.
     """
     _direction(kind, (lam,))
     weight, b = _bases(kind, ctx)
     p = ctx.space.p
-    return abs(weight**p - b ** (lam * p))
+    den = abs(weight**p - b ** (lam * p))
+    if den == 0.0:
+        raise CriticalExponentError(
+            f"the closed constant of series psi_{kind.letter} divides by 0: at p = {p!r} the "
+            f"control's exponent {lam!r} is within rounding of its critical value {kind.degree:g}"
+        )
+    return den
 
 
 def _closed_constant(ctx: BoundContext, kind: IterKind, r: float, s: float) -> float:

@@ -113,45 +113,24 @@ class FunctionHandle:
 
 @dataclass(frozen=True)
 class EquationKind:
-    """Tag selecting one residual operator; general_mixed carries its k."""
+    """A residual's term table: (c, a, b) of each term of sum_m c_m f(a_m x + b_m y)."""
 
-    tag: str
-    params: EquationParams | None = None
-
-    _TAGS = ("general_mixed", "quadratic", "cubic")
-
-    def __post_init__(self) -> None:
-        if self.tag not in self._TAGS:
-            raise InvalidInputError(f"unknown equation tag {self.tag!r}")
-        if self.tag == "general_mixed" and self.params is None:
-            raise InvalidInputError("general_mixed requires EquationParams")
+    terms: tuple[tuple[float, float, float], ...]
 
     @classmethod
     def general_mixed(cls, params: EquationParams) -> "EquationKind":
-        return cls("general_mixed", params)
+        k = float(params.k)
+        k2 = k * k
+        return cls(((1, 1, k), (1, 1, -k), (-k2, 1, 1), (-k2, 1, -1), (-2.0 * (1.0 - k2), 1, 0)))
 
     @classmethod
     def quadratic(cls) -> "EquationKind":
-        return cls("quadratic")
+        return cls(((1, 1, 1), (1, 1, -1), (-2, 1, 0), (-2, 0, 1)))
 
     @classmethod
     def cubic(cls) -> "EquationKind":
-        return cls("cubic")
+        return cls(((1, 2, 1), (1, 2, -1), (-2, 1, 1), (-2, 1, -1), (-12, 1, 0)))
 
-    @property
-    def terms(self) -> tuple[tuple[float, float, float], ...]:
-        """(c, a, b) of each term of the residual sum_m c_m f(a_m x + b_m y)."""
-        if self.tag != "general_mixed":
-            return _FIXED_TERMS[self.tag]
-        k = float(self.params.k)
-        k2 = k * k
-        return ((1, 1, k), (1, 1, -k), (-k2, 1, 1), (-k2, 1, -1), (-2.0 * (1.0 - k2), 1, 0))
-
-
-_FIXED_TERMS = {
-    "quadratic": ((1, 1, 1), (1, 1, -1), (-2, 1, 0), (-2, 0, 1)),
-    "cubic": ((1, 2, 1), (1, 2, -1), (-2, 1, 1), (-2, 1, -1), (-12, 1, 0)),
-}
 
 # The float budget of one working array: a tile of pair_blocks holds at most
 # _BLOCK // dim pairs, so each array operator_residual builds on it holds
@@ -223,11 +202,6 @@ def residual(f: FunctionHandle, kind: EquationKind, x, y) -> np.ndarray:
     if xs.ndim == 0:
         return out[0]
     return out.reshape(xs.shape + (f.space.dim,))
-
-
-def difference_operator(f: FunctionHandle, params: EquationParams, x, y) -> np.ndarray:
-    """D_f(x, y), the general_mixed residual; five evaluations of f per point."""
-    return residual(f, EquationKind.general_mixed(params), x, y)
 
 
 class _ParityPart(FunctionHandle):

@@ -679,7 +679,7 @@ def test_limits_do_not_depend_on_the_float_budget(monkeypatch, dim, phi):
 def test_merged_chunks_keep_a_nan_step(monkeypatch):
     """At x = 3e102, A's level 0 is f(2x) - 8 f(x) = inf - inf and level 1
     is 0, so a limit capped at level 1 stops on a NaN step.  np.max keeps
-    the NaN within a chunk, and merge keeps it across chunks."""
+    the NaN, over one chunk or over the one record its chunks fill."""
     f = FunctionHandle(lambda xs: (xs**3)[:, None], SPACE1)
     spec = IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, max_n=1)
     xs = np.array([1.0, 3e102, 2.0])

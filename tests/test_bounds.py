@@ -5,6 +5,7 @@ nine-term table, independent of the vectorized implementation under test.
 """
 
 import json
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -27,6 +28,7 @@ from stabeq import (
     select_directions,
     stability_bound,
 )
+from stabeq import equations
 from stabeq.bounds import _series_exponents, _series_geometry
 
 # Residual decomposition terms of the odd-part relation, instantiated at the
@@ -356,6 +358,23 @@ def test_psi_summed_at_each_point_does_not_depend_on_its_batch(k, p, phi, n_ref)
         for x, got in zip(xs[::5], vec[::5]):
             want = psi_ref_odd({"a": 2.0, "c": 8.0}[kind], k, p, phi, x, j, n_ref)
             assert abs(got / want - 1) <= 1e-14, (kind, x)
+
+
+def test_a_two_degree_sum_keeps_to_the_float_budget(monkeypatch):
+    """Slices of 1, 15 and 256 points give one result; 4,001 points peak at 1.4 MB, not 18."""
+    ctx = ctx_for(3, 0.5, PowerBound("sum", 1.0, 2.0, 2.5))
+    xs = np.linspace(-5.0, 5.0, 301)
+    runs = []
+    for budget in (64, 1000, 1 << 14):
+        monkeypatch.setattr(equations, "_BLOCK", budget)
+        runs.append([psi_tilde_bound(kind, ctx, xs).tobytes() for kind in "ac"])
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    tracemalloc.start()
+    try:
+        psi_tilde_bound("a", ctx, np.linspace(-5.0, 5.0, 4001))
+        assert tracemalloc.get_traced_memory()[1] < 3 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_psi_zero_theta_and_vanishing_quadratic():
@@ -766,6 +785,10 @@ def test_corollary_constant_validation():
     crit_q = ctx_for(2, 1.0, PowerBound("sum", 1.0, 0.0, 2.0))
     with pytest.raises(CriticalExponentError):
         corollary_constant("quadratic_factor", crit_q)
+    # (2^1)^0.75 and 2^(0.75 r) round to one float: the denominator is 0.
+    near = ctx_for(2, 0.75, PowerBound("sum", 1.0, 0.9999999999999999, 0.0))
+    with pytest.raises(CriticalExponentError, match="psi_a divides by 0: .* 0.9999999999999999 "):
+        corollary_constant("alpha_additive", near)
 
 
 # --- full closed form -----------------------------------------------------

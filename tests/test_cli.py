@@ -120,6 +120,17 @@ def test_bounds_critical_exponent_exits_2(runner):
             ), command
 
 
+def test_bounds_closed_constant_with_a_zero_denominator_exits_2(runner):
+    # psi_a converges (EXPAND), but at p = 0.75 alpha_additive's denominator
+    # (2^1)^p - 2^(r p) rounds to 0.
+    result = invoke(runner, "bounds", "--p", "0.75", "--phi", "sum:0.9999999999999999:0")
+    assert result.exit_code == 2
+    assert result.stderr == (
+        "error: the closed constant of series psi_a divides by 0: at p = 0.75 the "
+        "control's exponent 0.9999999999999999 is within rounding of its critical value 1\n"
+    )
+
+
 # --- experiment -----------------------------------------------------------
 
 

@@ -17,7 +17,6 @@ from stabeq import (
     IterKind,
     LimitFunction,
     PNormSpace,
-    difference_operator,
     parity_split,
     residual,
     to_json,
@@ -128,7 +127,7 @@ def test_operator_vanishes_on_exact_solutions():
     f = poly_handle(2.0, -1.0, 5.0)
     pts = rand_points(200)
     for k in (2, -2, 3):
-        vals = difference_operator(f, EquationParams(k), pts, pts[::-1])
+        vals = residual(f, EquationKind.general_mixed(EquationParams(k)), pts, pts[::-1])
         scale = 1.0 + np.max(np.abs(f(pts + k * pts[::-1])))
         assert np.max(np.abs(vals)) <= 1e-10 * scale
 
@@ -155,17 +154,17 @@ def test_operator_on_quartic_matches_symbolic_expansion():
     X = rng.uniform(-5, 5, 500)
     Y = rng.uniform(0.5, 5, 500) * rng.choice([-1.0, 1.0], 500)
     for kv in (2, 3):
-        got = difference_operator(quartic, EquationParams(kv), X, Y)[:, 0]
+        got = residual(quartic, EquationKind.general_mixed(EquationParams(kv)), X, Y)[:, 0]
         want = 2.0 * kv**2 * (kv**2 - 1) * Y**4
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
 
 
 def test_operator_scalar_call_and_broadcasting():
     f = poly_handle(0.0, 0.0, 1.0)
-    out = difference_operator(f, EquationParams(2), 1.0, 2.0)
+    out = residual(f, EquationKind.general_mixed(EquationParams(2)), 1.0, 2.0)
     assert out.shape == (1,)
     X = np.linspace(-1, 1, 7)
-    out2 = difference_operator(f, EquationParams(2), X, 0.5)
+    out2 = residual(f, EquationKind.general_mixed(EquationParams(2)), X, 0.5)
     assert out2.shape == (7, 1)
 
 
@@ -173,7 +172,7 @@ def test_operator_vector_codomain():
     space = PNormSpace(2, 0.5)
     f = FunctionHandle.componentwise(space, horner_cubic, (1.0, 0.0), (0.0, 2.0), (3.0, -1.0))
     pts = rand_points(50)
-    vals = difference_operator(f, EquationParams(2), pts, -pts)
+    vals = residual(f, EquationKind.general_mixed(EquationParams(2)), pts, -pts)
     assert vals.shape == (50, 2)
     assert np.max(np.abs(vals)) < 1e-9 * (1.0 + np.max(np.abs(f(3 * pts))))
 
@@ -218,7 +217,7 @@ def test_term_tables_reproduce_the_written_out_sums():
         - 12.0 * f(X),
     }
     for kind, want in written.items():
-        assert np.array_equal(residual(f, kind, X, Y), want), kind.tag
+        assert np.array_equal(residual(f, kind, X, Y), want), kind.terms
 
 
 def test_operator_residual_blocks_match_block_by_block():
@@ -294,22 +293,6 @@ def test_pair_blocks_tile_at_the_default_budget():
     # Past 16,384 // dim points a row comes in pieces of 16,384 // dim pairs.
     assert tile_sizes(GridSpec(-5.0, 5.0, 20000), 4, 6) == [4096] * 4 + [3616, 4096]
     assert tile_sizes(GridSpec(-5.0, 5.0, 20000), 1, 3) == [16384, 3616, 16384]
-
-
-def test_general_mixed_dispatch_matches_difference_operator():
-    f = poly_handle(1.0, 2.0, 3.0)
-    kind = EquationKind.general_mixed(EquationParams(3))
-    pts = rand_points(20)
-    a = residual(f, kind, pts, pts / 2)
-    b = difference_operator(f, EquationParams(3), pts, pts / 2)
-    assert np.array_equal(a, b)
-
-
-def test_equation_kind_validation():
-    with pytest.raises(InvalidInputError):
-        EquationKind("unknown_tag")
-    with pytest.raises(InvalidInputError):
-        EquationKind("general_mixed")  # missing params
 
 
 # --- parity split ---------------------------------------------------------

@@ -32,6 +32,7 @@ from stabeq import (
     make_test_function,
     report_to_csv,
     report_to_json,
+    residual,
     run_experiment,
     to_json,
     verify_solution,
@@ -495,9 +496,8 @@ def test_calibrate_theta_is_deterministic_and_covers_grid():
     assert t1 == t2
     # the 1.01 safety factor leaves every grid residual strictly covered
     pts = SEEDED.grid.pairs()
-    from stabeq import difference_operator
-
-    resid = f.space.pnorm(difference_operator(f, params, pts[:, 0], pts[:, 1]))
+    kind = EquationKind.general_mixed(params)
+    resid = f.space.pnorm(residual(f, kind, pts[:, 0], pts[:, 1]))
     phi_unit = SEEDED.phi_form.instantiate(1.0).value(pts[:, 0], pts[:, 1])
     assert np.all(resid <= t1 * phi_unit + 1e-15)
 
