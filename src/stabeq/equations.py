@@ -61,17 +61,32 @@ class FunctionHandle:
     ) -> "FunctionHandle":
         """The map x -> fn(x, *coefs), one formula for every component.
 
-        Each coefficient is a scalar or a (dim,) vector.  fn is called with
-        the points as a (1, N) row and each coefficient as a (dim, 1)
-        column, so its arithmetic runs on (dim, N) arrays whose inner loops
-        are along the N points; the handle reads the transposed (N, dim)
-        view, whose components-axis sums are then column adds.
+        fn is called with the points as a (1, N) row.  A scalar coefficient
+        is passed as a 0-d float, so the arithmetic it takes part in runs
+        once per point, on (1, N); a (dim,) vector coefficient is passed as
+        a (dim, 1) column, so its arithmetic runs on (dim, N) arrays whose
+        inner loops are along the N points.  Either way each element goes
+        through the same float operations.  A (1, N) result, one row shared
+        by every component, is broadcast to (dim, N); the handle reads the
+        transposed (N, dim) view, whose components-axis sums are then column
+        adds.  A result of any other shape than (dim, N) is rejected by the
+        handle's shape check.
         """
-        cols = [
-            np.broadcast_to(np.asarray(c, dtype=float), (space.dim,))[:, None].copy()
+        dim = space.dim
+        args = [
+            np.broadcast_to(np.asarray(c, dtype=float), (dim,))[:, None].copy()
+            if np.ndim(c)
+            else float(c)
             for c in coefs
         ]
-        return cls(lambda xs: fn(xs[None, :], *cols).T, space)
+
+        def values(xs):
+            out = fn(xs[None, :], *args)
+            if dim > 1 and np.shape(out) == (1, xs.size):
+                out = np.broadcast_to(out, (dim, xs.size))
+            return out.T
+
+        return cls(values, space)
 
     def _values(self, xs: np.ndarray) -> np.ndarray:
         """Values at the flat points xs, shape (N, dim)."""

@@ -81,6 +81,52 @@ def test_polynomial_vector_coefficients():
     assert out[0] == 8.0 and out[1] == 4.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_scalar_coefficients_give_the_bits_of_their_dim_vectors(dim):
+    """A coefficient shared by every component applies once per point, and
+    gives the values, magnitudes and residuals of the same coefficient
+    repeated once per component; so does a shared cubic plus a per-component
+    term."""
+    space = PNormSpace(dim, 0.5)
+    coefs = (1.5, -0.75, 1.0 / 3.0)
+    omega = np.linspace(0.5, 2.5, dim)
+
+    def wavy(x, a3, a2, a1, w):
+        return horner_cubic(x, a3, a2, a1) + 0.01 * np.sin(w * x)
+
+    pts = rand_points(500, -60.0, 60.0)
+    kind = EquationKind.general_mixed(EquationParams(3))
+    for fn, extra in ((horner_cubic, ()), (wavy, (omega,))):
+        shared = FunctionHandle.componentwise(space, fn, *coefs, *extra)
+        repeated = FunctionHandle.componentwise(space, fn, *((c,) * dim for c in coefs), *extra)
+        for a, b in zip(shared.evaluate(pts), repeated.evaluate(pts)):
+            assert a.shape == (pts.size, dim)
+            assert np.array_equal(a, b)
+        assert np.array_equal(
+            residual(shared, kind, pts, pts[::-1]), residual(repeated, kind, pts, pts[::-1])
+        )
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x, a: np.repeat(a * x, 2, axis=0),  # two rows at dim 3
+        lambda x, a: np.repeat(a * x, 4, axis=0),  # four rows at dim 3
+        lambda x, a: (a * x)[:0],  # no rows
+    ],
+)
+def test_componentwise_result_with_the_wrong_rows_is_rejected(fn):
+    with pytest.raises(InvalidInputError, match=r"expected \(1, 3\)"):
+        FunctionHandle.componentwise(PNormSpace(3, 1.0), fn, 1.0)
+
+
+def test_componentwise_result_that_ignores_the_points_is_rejected():
+    # one value per component, right at one point, wrong at five
+    f = FunctionHandle.componentwise(PNormSpace(3, 1.0), lambda x, a: np.ones((3, 1)) * a, 2.0)
+    with pytest.raises(InvalidInputError, match=r"expected \(5, 3\)"):
+        f(np.arange(5.0))
+
+
 def test_evaluate_magnitude_includes_offset():
     f = FunctionHandle(lambda xs: (xs + 7.0)[:, None], SPACE1)
     vals, mag = f.evaluate(np.array([3.0]))

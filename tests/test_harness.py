@@ -438,6 +438,17 @@ def row_major_reference(cfg, xs):
     return out
 
 
+# The coefficient shapes a config's poly can take, each a function of dim:
+# mixed, all shared by the components (as in the default config: the cubic
+# runs once per point and, without noise, only the broadcast gives the
+# components) and all per component.
+POLYS = (
+    lambda dim: (1.5, tuple(np.linspace(-1.0, 2.0, dim)), -0.25),
+    lambda dim: (1.5, -0.75, -0.25),
+    lambda dim: tuple(tuple(np.linspace(lo, 2.0, dim)) for lo in (0.5, -1.0, -3.0)),
+)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "kind, phi",
@@ -450,20 +461,22 @@ def row_major_reference(cfg, xs):
     ],
 )
 def test_make_test_function_matches_the_row_major_formula(dim, kind, phi):
-    cfg = ExperimentConfig(
-        codomain_dim=dim,
-        poly=(1.5, tuple(np.linspace(-1.0, 2.0, dim)), -0.25),
-        noise=NoiseSpec(kind, 0.01, 17),
-        phi_form=phi,
-    )
     rng = np.random.default_rng(dim)
-    xs = np.concatenate([rng.uniform(-60.0, 60.0, 4000), cfg.grid.points()])
-    f = make_test_function(cfg)
-    want = row_major_reference(cfg, xs) - row_major_reference(cfg, np.zeros(1))[0]
-    vals = f(xs)
-    assert np.array_equal(vals, want)
-    # the components-axis sum of the (N, dim) view reads as a row-major sum
-    assert np.array_equal(f.space.pnorm(vals), f.space.pnorm(np.ascontiguousarray(vals)))
+    for poly in POLYS:
+        cfg = ExperimentConfig(
+            codomain_dim=dim,
+            poly=poly(dim),
+            noise=NoiseSpec(kind, 0.01, 17),
+            phi_form=phi,
+        )
+        xs = np.concatenate([rng.uniform(-60.0, 60.0, 4000), cfg.grid.points()])
+        f = make_test_function(cfg)
+        want = row_major_reference(cfg, xs) - row_major_reference(cfg, np.zeros(1))[0]
+        vals = f(xs)
+        assert vals.shape == (xs.size, dim)
+        assert np.array_equal(vals, want), cfg.poly
+        # the components-axis sum of the (N, dim) view reads as a row-major sum
+        assert np.array_equal(f.space.pnorm(vals), f.space.pnorm(np.ascontiguousarray(vals)))
 
 
 def test_power_scaled_noise_uses_control_exponent():
@@ -599,6 +612,25 @@ def test_calibration_norms_no_magnitudes_where_no_pair_asks_for_a_scale(monkeypa
     tiles = list(equations.pair_blocks(grid, dim))
     assert calls == [(X.size, dim) for X, _ in tiles]
     assert theta.hex() == want.hex()
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("block", [_BLOCK, 256])
+def test_calibration_evaluates_f_five_times_per_pair(monkeypatch, dim, block):
+    """The work calibration does: one base evaluation per term of the
+    five-term residual at every pair of the N-point square, 5 N^2 in all,
+    whether tiles hold whole rows (the default budget) or pieces of one row
+    (a budget of 256 floats, 64 pairs at dim 4)."""
+    monkeypatch.setattr(equations, "_BLOCK", block)
+    grid = GridSpec(-5.0, 5.0, 101)
+    cfg = ExperimentConfig(codomain_dim=dim, noise=NoiseSpec("bounded_smooth", 0.01, 5), grid=grid)
+    f = make_test_function(cfg)
+    evals = []
+    fn = f._fn
+    monkeypatch.setattr(f, "_fn", lambda xs: evals.append(xs.size) or fn(xs))
+    calibrate_theta(f, EquationParams(2), cfg.phi_form, grid)
+    assert sum(evals) == 5 * grid.count**2
+    assert len(evals) == 5 * len(list(equations.pair_blocks(grid, dim)))
 
 
 def test_calibrate_theta_names_the_first_uncovered_pair():
