@@ -13,9 +13,11 @@ component's limit: approximants.IterKind gives its letter, its base b (k or
 the single row (1, 0, 1) with P = 1; psi_a and psi_c read the nine rows the
 equation fixes, with P = (k^2 |1-k^2|)^(-p).  Where phi has one degree lam
 in a series' slot, the series is homogeneous, psi(x) = |x|^(lam p) psi(1),
-and geometric, so psi(1) is its first term over 1 - rho, in closed form;
-only a series of two degrees is summed, term by term, to a tail bound.  A
-slot whose control exponents sit at or straddle the critical value has no
+and geometric, so psi(1) is its first term over 1 - rho, in closed form.  A
+sum with r != s gives psi_a and psi_c two degrees; p-subadditivity,
+(u + v)^p <= u^p + v^p, bounds them by the closed forms of theta |x|^r and
+theta |y|^s, added: exact at p = 1, at most 2^(1-p) times the series below.
+A slot whose control exponents sit at or straddle the critical value has no
 convergent direction and raises CriticalExponentError at every theta, even
 where its series is zero.  Each recovered component satisfies a bound built
 from M = 2^(1/p-1) and psi^(1/p).
@@ -37,7 +39,6 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import equations
 from .approximants import Direction, IterKind
 from .equations import EquationParams
 from .errors import CriticalExponentError, InvalidInputError
@@ -46,11 +47,6 @@ from .quasinorm import PNormSpace
 
 _FORMS = ("constant", "sum", "product")
 
-# Summing a two-degree series: stop once the geometric tail bound is this
-# small relative to the accumulated sum, or at the hard term cap.
-_TAIL_REL = 1e-15
-_TERM_CAP = 1 << 20
-_CHUNK = 64
 _TINY = np.finfo(float).tiny
 
 
@@ -236,7 +232,7 @@ def _series_geometry(kind: IterKind, ctx: BoundContext) -> tuple[float, float, i
 
 
 def psi_tilde_bound(kind, ctx: BoundContext, x):
-    """The comparison series at |x|: in closed form for one degree, else summed in chunks.
+    """The comparison series at |x|, in closed form: one per degree in its slot.
 
     One degree lam in the series' slot (_series_exponents) makes each term
     homogeneous, phi(a_m t xi, b_m t xi)^p = t^(lam p) phi(a_m xi, b_m xi)^p,
@@ -250,17 +246,11 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
     j (e - d) > 0 holds for every degree e and the series converges; only
     its rounded rho can still reach 1, which raises.
 
-    Two degrees (psi_a, psi_c under a sum with r != s, both > 0) are summed
-    at each point in chunks of _CHUNK terms, equations._BLOCK // _CHUNK
-    points at a time (so to the float budget): each point adds terms until its
-    tail bound (last term * rho/(1-rho)) is below 1e-15 of its running sum,
-    and then that tail bound; only the points still summing read the next
-    chunk, so a point's value is bitwise the same alone or in a batch.  A
-    point stops before its first term that is not finite in float64 (as
-    where the argument scale 2^i leaves float64, at term 1024), and as
-    term(i+1) <= rho * term(i) the tail bound still covers the terms left
-    out.  Nothing rounds either route up, so it can fall a few ulps below
-    the exact sum.
+    Two degrees (psi_a, psi_c under a sum with r != s, both > 0) give the
+    sum of that closed form for theta |x|^r and for theta |y|^s, as
+    (u + v)^p <= u^p + v^p; j (e - d) > 0 holds for both, so each part
+    converges in the slot's j.  At p = 1 the split is exact.  Nothing rounds
+    the closed form up, so it can fall a few ulps below the exact sum.
     """
     kind = _as_member(kind, IterKind, attrgetter("letter"), "series kind")
     w, arg_scale, j, rho = _series_geometry(kind, ctx)
@@ -276,59 +266,39 @@ def psi_tilde_bound(kind, ctx: BoundContext, x):
     if rho >= 1.0:
         raise InvalidInputError(f"{where} converges, but its step ratio rounds to {rho!r}")
     pref, rows = _series_rows(kind, ctx)
+    c, a, b = np.array(rows).T[:, :, None]
     p = ctx.space.p
     start = (1 + j) // 2
 
-    def geometric(pts):
-        # (first term, psi) at each point: the first term's rows read in one
-        # phi call and added in row order, and psi that over 1 - rho.
-        (lam,) = degrees
+    def geometric(part, lam, pts):
+        # (first term, psi) at each point under a control part of one degree
+        # lam: the first term's rows read in one phi call and added in row
+        # order, and psi that over 1 - rho.
         one_minus_rho = -math.expm1(p * j * (kind.degree - lam) * math.log(_bases(kind, ctx)[1]))
-        c, a, b = np.array(rows).T[:, :, None]
         xi = arg_scale**start * pts
-        first = w**start * (pref * np.cumsum(c * phi.value(a * xi, b * xi) ** p, axis=0)[-1])
+        first = w**start * (pref * np.cumsum(c * part.value(a * xi, b * xi) ** p, axis=0)[-1])
         return first, first / one_minus_rho
 
-    def summed(pts):
-        tail_ratio = rho / (1.0 - rho)
-        total, last = np.zeros_like(pts), np.zeros_like(pts)
-        live = np.arange(pts.size)  # the points still summing
-        for i in range(start, start + _TERM_CAP, _CHUNK):
-            idx = np.arange(i, i + _CHUNK).astype(float)
-            xi = (arg_scale**idx)[:, None] * pts[live][None, :]  # (T, L)
-            acc = np.zeros_like(xi)
-            for c_m, a_m, b_m in rows:
-                acc += c_m * phi.value(a_m * xi, b_m * xi) ** p
-            terms = (w**idx)[:, None] * (pref * acc)
-            # Each point's terms up to its first one not finite in float64.
-            finite = np.logical_and.accumulate(np.isfinite(terms), axis=0)
-            n_finite = finite.sum(axis=0)
-            if i == start and not n_finite.all():
-                raise InvalidInputError(f"{where} overflows float64 at term {i}")
-            # cumsum adds in index order for any number of points, where
-            # sum would add a lone point's terms pairwise; the terms past a
-            # point's last finite one add +0.
-            total[live] += np.cumsum(np.where(finite, terms, 0.0), axis=0)[-1]
-            kept = np.flatnonzero(n_finite)  # the points with a finite term here
-            last[live[kept]] = terms[n_finite[kept] - 1, kept]
-            tail = last[live] * tail_ratio <= _TAIL_REL * total[live] + _TINY
-            live = live[(n_finite == _CHUNK) & ~tail]
-            if not live.size:
-                break
-        return total + last * tail_ratio
+    def closed(part, lam):
+        if _TINY <= (psi1 := geometric(part, lam, np.ones(1))[1][0]) < np.inf:
+            return np.abs(flat) ** (lam * p) * psi1
+        # psi(1) outside float64's normal range: the closed form at each point
+        first, total = geometric(part, lam, np.abs(flat))
+        if not np.isfinite(first).all():
+            raise InvalidInputError(f"{where} overflows float64 at term {start}")
+        return total
 
+    # phi whole where the slot has one degree: split by term, sum:4:4 would
+    # be looser below p = 1.  Two degrees take one part per power term.
+    if len(degrees) == 1:
+        parts = [(phi, *degrees)]
+    else:
+        parts = [(PowerBound("sum", phi.theta, r, s), r + s) for r, s in phi.terms()]
     # A value past float64 is caught and named below, not warned about here.
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(degrees) > 1:
-            pts, size = np.abs(flat), max(1, equations._BLOCK // _CHUNK)
-            parts = [summed(pts[lo : lo + size]) for lo in range(0, pts.size, size)]
-            total = np.concatenate(parts) if parts else pts
-        elif _TINY <= (psi1 := geometric(np.ones(1))[1][0]) < np.inf:
-            total = np.abs(flat) ** (min(degrees) * p) * psi1
-        else:  # psi(1) outside float64's normal range: the closed form at each point
-            first, total = geometric(np.abs(flat))
-            if not np.isfinite(first).all():
-                raise InvalidInputError(f"{where} overflows float64 at term {start}")
+        total = closed(*parts[0])
+        for part in parts[1:]:
+            total = total + closed(*part)
     if np.isinf(total).any():
         bad = float(flat[np.isinf(total)][0])
         raise InvalidInputError(f"{where} leaves float64 at x = {bad!r}")
@@ -420,8 +390,8 @@ def _closed_constant(ctx: BoundContext, kind: IterKind, r: float, s: float) -> f
         + 3^(sp)) / |(2^d)^p - 2^((r+s)p)|)^(1/p)
 
     with d the odd kind's degree (2^d = 2 additive, 8 cubic).  It shares only
-    IterKind's bases with the series code, so comparing it with the summed
-    series checks both.
+    IterKind's bases with the series code, so comparing it with the series
+    checks both.
     """
     p = ctx.space.p
     k = ctx.params.k

@@ -28,7 +28,6 @@ from stabeq import (
     select_directions,
     stability_bound,
 )
-from stabeq import equations
 from stabeq.bounds import _series_exponents, _series_geometry
 
 # Residual decomposition terms of the odd-part relation, instantiated at the
@@ -77,15 +76,34 @@ def psi_ref_quadratic(k, p, phi, x, j, n_terms):
     return total
 
 
+def two_degrees(kind, phi):
+    """True where psi splits its slot's control into one series per power term."""
+    return kind != "e" and len(set(phi.exponents())) > 1
+
+
+def assert_split_bounds(got, exact, p, split, what):
+    """exact (1 - 4 EPS) <= got <= s exact (1 + 1e-14), with s = 2^(1-p) where
+    psi splits two degrees by (u + v)^p <= u^p + v^p, else 1."""
+    slack = 2.0 ** (1.0 - p) if split else 1.0
+    assert got >= exact * (1 - 4 * EPS), what
+    assert got <= slack * exact * (1 + 1e-14), what
+
+
 def psi_oracle(kind, k, p, phi, x, j):
     """The comparison series at x to 50 digits: the frozen rows at the series' geometry.
 
     Term i reads phi at (a_m xi_i, b_m xi_i), xi_i = |x| / base^(ij), from
     i = (1+j)/2.  Under a control of one degree the terms are geometric, so
     the ratio of the first two terms, checked on the third, gives the tail
-    exactly.
+    exactly.  Two degrees at p = 1 are the sum of one such oracle per power
+    term, exactly.
     """
     with mp.workdps(50):
+        if two_degrees(kind, phi):
+            assert p == 1.0, "the series of a sum splits by power term only at p = 1"
+            return mp.fsum(
+                psi_oracle(kind, k, p, PowerBound("sum", phi.theta, *t), x, j) for t in phi.terms()
+            )
         if kind == "e":
             base, weight, pref, rows = abs(k), k * k, mp.mpf(1), [(1, (0, 1))]
         else:
@@ -119,6 +137,9 @@ ORACLE_CASES = [
     (2, 0.3, PowerBound("sum", 1.0, 0.9, 0.9)),
     (2, 1.0, PowerBound("sum", 1.0, 0.99, 0.99)),
     (2, 0.3, PowerBound("product", 1.0, 0.45, 0.45)),
+    # Two degrees: psi_a and psi_c are one closed form per power term.
+    (2, 1.0, PowerBound("sum", 1.0, 0.9, 0.95)),
+    (3, 1.0, PowerBound("sum", 1.0, 2.0, 2.5)),
 ]
 
 
@@ -270,9 +291,9 @@ def test_psi_partial_sums_match_reference_loops():
     """psi over a batch of x against the reference loops summed to 300 terms.
 
     300 terms converge every series here, and 8^300 is still finite.  The
-    last two controls have two degrees below p = 1, so psi_a and psi_c are
-    summed at each point, not scaled from psi(1); under sum:2:2.5 A
-    contracts and C expands.
+    last three controls have two degrees, so psi_a and psi_c are one closed
+    form per power term: exact at p = 1, and up to 2^(1-p) above the loops
+    below it; under sum:2:2.5 A contracts and C expands.
     """
     cases = [
         (2, 1.0, PowerBound("constant", 0.7)),
@@ -295,8 +316,7 @@ def test_psi_partial_sums_match_reference_loops():
                     want = psi_ref_quadratic(k, p, phi, x, j, 300)
                 else:
                     want = psi_ref_odd({"a": 2.0, "c": 8.0}[kind], k, p, phi, x, j, 300)
-                assert abs(got / want - 1) <= 1e-14, (k, p, phi, kind, x)
-                assert got >= want * (1 - 4 * EPS), (k, p, phi, kind, x)
+                assert_split_bounds(got, want, p, two_degrees(kind, phi), (k, p, phi, kind, x))
 
 
 def test_psi_bound_dominates_partial_sums_and_converges():
@@ -336,17 +356,15 @@ def test_psi_of_a_point_does_not_depend_on_its_batch(k, p, phi):
 @pytest.mark.parametrize(
     "k, p, phi, n_ref",
     [
-        # psi_a's step ratio is 2^(-0.03): its float64 sum ends where 2^i x
-        # overflows, past the reach of the reference loops.
+        # psi_a's step ratio is 2^(-0.03), past the reach of the reference loops.
         (2, 0.3, PowerBound("sum", 1.0, 0.1, 0.9), None),
         (3, 0.5, PowerBound("sum", 1.0, 2.0, 2.5), 300),
         (2, 0.75, PowerBound("sum", 1.0, 0.25, 0.5), 300),
     ],
 )
-def test_psi_summed_at_each_point_does_not_depend_on_its_batch(k, p, phi, n_ref):
-    """Two degrees below p = 1: each point stops at its own tail test, so a
-    point's value is bitwise that of the point alone, and stays within
-    1e-14 of the reference loops."""
+def test_a_two_degree_psi_is_batch_free_and_keeps_the_split_bounds(k, p, phi, n_ref):
+    """Two degrees below p = 1: a point's value is bitwise that of the point
+    alone, at least the reference loops and at most 2^(1-p) times them."""
     ctx = ctx_for(k, p, phi)
     xs = np.exp(np.random.default_rng(0).uniform(np.log(1e-4), np.log(1e4), 30))
     for slot, kind in ((1, "a"), (2, "c")):
@@ -357,18 +375,12 @@ def test_psi_summed_at_each_point_does_not_depend_on_its_batch(k, p, phi, n_ref)
         j = int(ctx.directions[slot])
         for x, got in zip(xs[::5], vec[::5]):
             want = psi_ref_odd({"a": 2.0, "c": 8.0}[kind], k, p, phi, x, j, n_ref)
-            assert abs(got / want - 1) <= 1e-14, (kind, x)
+            assert_split_bounds(got, want, p, True, (kind, x))
 
 
-def test_a_two_degree_sum_keeps_to_the_float_budget(monkeypatch):
-    """Slices of 1, 15 and 256 points give one result; 4,001 points peak at 1.4 MB, not 18."""
+def test_a_two_degree_sum_keeps_to_the_float_budget():
+    """4,001 points peak at 0.13 MB: a few arrays of one float per point."""
     ctx = ctx_for(3, 0.5, PowerBound("sum", 1.0, 2.0, 2.5))
-    xs = np.linspace(-5.0, 5.0, 301)
-    runs = []
-    for budget in (64, 1000, 1 << 14):
-        monkeypatch.setattr(equations, "_BLOCK", budget)
-        runs.append([psi_tilde_bound(kind, ctx, xs).tobytes() for kind in "ac"])
-    assert runs[1] == runs[0] and runs[2] == runs[0]
     tracemalloc.start()
     try:
         psi_tilde_bound("a", ctx, np.linspace(-5.0, 5.0, 4001))
@@ -430,11 +442,10 @@ def test_a_geometric_series_with_rho_near_one_in_closed_form_dominates_its_exact
         assert (got - exact) / exact <= 1e-12
 
 
-def test_a_two_degree_sum_stopping_where_its_arguments_leave_float64_keeps_its_tail_bound():
-    """Under sum:0.9:0.95 at p = 0.3, psi_a's step ratio is 2^(-0.015), so
-    its tail test has not held when 2^i leaves float64 at term 1024; the sum
-    stops before that term and the tail bound carries the rest, so the bound
-    still dominates the series summed to 4,000 terms in mpmath."""
+def test_a_two_degree_series_with_rho_near_one_keeps_the_split_bounds():
+    """Under sum:0.9:0.95 at p = 0.3, psi_a's step ratio is 2^(-0.015); split
+    into one closed form per power term, it is at least the series summed to
+    4,000 terms in mpmath and at most 2^(1-p) times it."""
     k, p, phi = 2, 0.3, PowerBound("sum", 1.0, 0.9, 0.95)
     got = psi_tilde_bound("a", ctx_for(k, p, phi), 1.0)
     coeffs, args = NINE_TERMS[k]
@@ -450,13 +461,14 @@ def test_a_two_degree_sum_stopping_where_its_arguments_leave_float64_keeps_its_t
             total += wi * mp.fsum(c * (ar * ur + bs * vs) ** p for c, ar, bs in rows)
             ur, vs, wi = ur * u, vs * v, wi * step
         total *= mp.mpf(k * k * abs(1 - k * k)) ** -p
-        assert got >= total
-        assert (got - total) / total <= 1e-12
+        assert_split_bounds(got, total, p, True, got)
 
 
-def test_a_one_degree_series_reads_its_control_once_per_call(monkeypatch):
+def test_a_series_reads_its_control_once_per_degree_in_its_slot(monkeypatch):
     """The closed form reads every row of its first term in one phi call, at
-    any step ratio: rho runs from 2^(-3) to 1 - 2.8e-4 below."""
+    any step ratio: rho runs from 2^(-3) to 1 - 2.8e-4 below.  A slot of one
+    degree reads phi whole, sum:4:4 too; one of two degrees reads it once
+    per power term."""
     calls = []
     value = PowerBound.value
     monkeypatch.setattr(PowerBound, "value", lambda self, x, y: calls.append(1) or value(self, x, y))
@@ -465,13 +477,14 @@ def test_a_one_degree_series_reads_its_control_once_per_call(monkeypatch):
         (2, 1.0, PowerBound("constant", 1.0), "eac"),
         (3, 0.5, PowerBound("sum", 1.0, 4.0, 4.0), "eac"),
         (270, 0.05, PowerBound("sum", 1.0, 0.0, 1.999), "e"),
+        (3, 0.5, PowerBound("sum", 1.0, 2.0, 2.5), "eac"),
     ):
         ctx = ctx_for(k, p, phi)
         for kind in kinds:
             for x in (1.0, xs):
                 calls.clear()
                 psi_tilde_bound(kind, ctx, x)
-                assert len(calls) == 1, (k, p, phi, kind)
+                assert len(calls) == (2 if two_degrees(kind, phi) else 1), (k, p, phi, kind)
 
 
 def test_a_positive_series_that_underflows_raises_and_exact_zeros_stay():
@@ -539,27 +552,29 @@ def test_huge_x_scales_up_or_raises_naming_x():
 
 
 @pytest.mark.parametrize(
-    "k, p, phi, message",
+    "k, p, phi, x, message",
     [
         # One degree: a finite first term over 1 - rho = 0.0069.
-        (2, 1.0, PowerBound("sum", 2e305, 0.99, 0.99), "leaves float64 at x = 1.0"),
-        # Two degrees, summed.
-        (2, 1.0, PowerBound("sum", 1e306, 0.9, 0.95), "leaves float64 at x = 1.0"),
+        (2, 1.0, PowerBound("sum", 2e305, 0.99, 0.99), 1.0, "leaves float64 at x = 1.0"),
+        # Two degrees: psi_a(1) is 1.7e308, and the exact psi_a(2) is past float64.
+        (2, 1.0, PowerBound("sum", 1e306, 0.9, 0.95), 2.0, "leaves float64 at x = 2.0"),
         # phi itself overflows at |x| = 1, though psi(1e-3) is about 1e149.
-        (3, 0.5, PowerBound("sum", 1e307, 4.0, 4.0), "overflows float64 at term 1"),
+        (3, 0.5, PowerBound("sum", 1e307, 4.0, 4.0), 1.0, "overflows float64 at term 1"),
     ],
 )
-def test_a_series_past_float64_at_one_keeps_the_points_where_it_is_finite(k, p, phi, message):
-    """psi_a(1) is past float64: a point where psi is finite keeps a bound on
-    it, and the first x past float64 is named, with no numpy warning."""
+def test_a_series_past_float64_at_one_keeps_the_points_where_it_is_finite(k, p, phi, x, message):
+    """psi_a(1) is past float64, or nearly so: a point where psi is finite
+    keeps theta^p psi_unit there, within rounding, and the first x past
+    float64 is named, with no numpy warning."""
     big = ctx_for(k, p, phi)
     unit = ctx_for(k, p, PowerBound("sum", 1.0, phi.r, phi.s))
     got = psi_tilde_bound("a", big, [0.0, 1e-3])
     assert got[0] == 0.0
     assert np.isfinite(got[1])
-    assert got[1] >= phi.theta**p * psi_tilde_bound("a", unit, 1e-3) * (1 - 1e-14)
+    want = phi.theta**p * psi_tilde_bound("a", unit, 1e-3)
+    assert want * (1 - 1e-14) <= got[1] <= want * (1 + 1e-14)
     with pytest.raises(InvalidInputError, match=f"series 'a' .* {message}"):
-        psi_tilde_bound("a", big, [1e-3, 1.0])
+        psi_tilde_bound("a", big, [1e-3, x])
 
 
 # --- stability bounds -----------------------------------------------------
