@@ -147,7 +147,7 @@ def _combine(spec: IterationSpec, levels: range, rungs: range, vals, mag):
 
 @dataclass(frozen=True)
 class ConvergenceDiagnostics:
-    """Worst-case view of a batch of pointwise limits.
+    """Worst case of a limit's per-point records, as worst_cases takes it.
 
     n_used    : largest iteration index compared before stopping
     last_step : largest final Cauchy step (inf marks an overflowed point)
@@ -158,16 +158,17 @@ class ConvergenceDiagnostics:
     last_step: float
     converged: bool
 
-    def merge(self, other: "ConvergenceDiagnostics") -> "ConvergenceDiagnostics":
-        """The worst case of both records; a NaN last_step stays NaN, as in np.max."""
-        return ConvergenceDiagnostics(
-            n_used=max(self.n_used, other.n_used),
-            last_step=float(np.maximum(self.last_step, other.last_step)),
-            converged=self.converged and other.converged,
+
+def worst_cases(records: dict) -> dict[str, ConvergenceDiagnostics]:
+    """Each label's worst case over its per-point records, in order; a NaN last_step stays NaN."""
+    return {
+        label: ConvergenceDiagnostics(
+            n_used=int(np.max(n_used, initial=0)),
+            last_step=float(np.max(last_step, initial=0.0)),
+            converged=bool(np.all(converged)),
         )
-
-
-_NOTHING_EVALUATED = ConvergenceDiagnostics(0, 0.0, True)
+        for label, (n_used, last_step, converged) in records.items()
+    }
 
 
 # Levels per block after level 1: one f call and one stop-rule scan take
@@ -228,7 +229,7 @@ class _Limit:
         """Take levels (up to the cap) from f's (vals, mag) at rungs, read at the points idx.
 
         Each live point stops at its first level n with ok | blown | n == cap,
-        and its result and diagnostics are that level's.  Level n is armed
+        and its result and record are that level's.  Level n is armed
         by level n-1's small step and must not exceed it.
         """
         levels = levels[: self.spec.max_n - levels[0] + 1]
@@ -269,20 +270,19 @@ class _Limit:
         self._last_step[pts] = np.where(kept, step[at], np.inf)
         self._converged[pts] = ok[at]
 
-    def finish(self, shape: tuple) -> tuple[np.ndarray, ConvergenceDiagnostics]:
-        """The limits, shape + (dim,), and their worst case."""
-        diag = ConvergenceDiagnostics(
-            n_used=int(self._n_used.max(initial=0)),
-            last_step=float(self._last_step.max(initial=0.0)),
-            converged=bool(self._converged.all()),
-        )
-        return self._result.reshape(shape + self._result.shape[-1:]), diag
+    def finish(self, shape: tuple) -> tuple[np.ndarray, tuple]:
+        """The limits, shape + (dim,), and each point's (n_used, last_step, converged), shape."""
+        records = tuple(r.reshape(shape) for r in (self._n_used, self._last_step, self._converged))
+        return self._result.reshape(shape + self._result.shape[-1:]), records
 
 
 def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandle, x):
     """Run the iteration to its Cauchy limit at each point of x.
 
-    Returns (values, diagnostics).  A step is small at n when
+    Returns (values, (n_used, last_step, converged)): the limits, shape
+    x.shape + (dim,), and each point's record, shape x.shape: the level it
+    stopped at, its last Cauchy step, and whether it met its tolerance
+    (worst_cases reduces them).  A step is small at n when
     pnorm(seq(n) - seq(n-1)) <= max(tol * (1 + pnorm(seq(n))), floor); a
     point stops at the first n whose step is at the floor itself
     (consecutive iterates agreeing to rounding resolution cannot be refined,
@@ -308,7 +308,7 @@ def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandl
     time.  Each block reads f at the rungs its levels read (see _Ladder) for
     the points still live in one evaluation, and applies the stopping rule
     to the whole block as one scan along the level axis.  Each level's
-    arithmetic is that of taking it alone, so values and diagnostics are
+    arithmetic is that of taking it alone, so values and records are
     too; a point may be read up to _BLOCK_LEVELS - 1 levels past its stop.
 
     The points are taken in chunks of equations._BLOCK // (2 (_BLOCK_LEVELS
@@ -316,12 +316,12 @@ def take_limit(spec: IterationSpec | tuple[IterationSpec, ...], f: FunctionHandl
     keep to the float budget of pair_blocks' tiles at any number of points.
     Each chunk runs on its own _Ladder into one _Limit per spec over every
     point, and a point's arithmetic is that of taking it alone, so chunking
-    changes neither values nor diagnostics.
+    changes neither values nor records.
 
     spec may also be a tuple of odd-kind specs with one direction (A's and
     C's).  They read the same rungs, so they run on one _Ladder: each
     block's f-values serve every spec still live at the point, and a tuple
-    of (values, diagnostics) pairs comes back, each bitwise equal to that
+    of (values, records) pairs comes back, each bitwise equal to that
     spec's own take_limit.
     """
     specs = spec if isinstance(spec, tuple) else (spec,)
@@ -353,11 +353,10 @@ class LimitFunction(FunctionHandle):
     """Lazy pointwise limit of an iteration, usable as a FunctionHandle.
 
     Evaluations run take_limit on the requested points and scale by a
-    constant.  .diagnostics is the worst case over every point evaluated so
-    far (n_used 0 before the first evaluation).  Construction evaluates
-    nothing: base vanishes at 0, so every iterate and the limit are signed
-    zeros there, and the offset is scale * 0 (-0.0 under A's negative scale,
-    which keeps A's value at x = 0 a +0.0).
+    constant; a point's record comes from take_limit or components_at.
+    Construction evaluates nothing: base vanishes at 0, so every iterate and
+    the limit are signed zeros there, and the offset is scale * 0 (-0.0
+    under A's negative scale, which keeps A's value at x = 0 a +0.0).
     """
 
     def __init__(self, spec: IterationSpec, base: FunctionHandle, scale: float = 1.0):
@@ -366,18 +365,16 @@ class LimitFunction(FunctionHandle):
         self.space = base.space
         self._scale = scale
         self.offset = scale * np.zeros(base.space.dim)
-        self.diagnostics = _NOTHING_EVALUATED
 
     def _values(self, xs: np.ndarray) -> np.ndarray:
-        return self.settle(*take_limit(self.spec, self.base, xs))
+        return self.scaled(take_limit(self.spec, self.base, xs)[0])
 
-    def settle(self, vals: np.ndarray, diag: ConvergenceDiagnostics) -> np.ndarray:
-        """This handle's values from take_limit's result for its spec; merges diag."""
-        self.diagnostics = self.diagnostics.merge(diag)
+    def scaled(self, vals: np.ndarray) -> np.ndarray:
+        """This handle's values from take_limit's values for its spec."""
         return self._scale * vals - self.offset
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompositionResult:
     """Recovered components of a near-solution, f ~ A + Q + C."""
 
@@ -387,21 +384,23 @@ class DecompositionResult:
     offsets: np.ndarray
     directions: tuple[Direction, Direction, Direction]
 
-    @property
-    def diagnostics(self) -> dict[str, ConvergenceDiagnostics]:
-        return {c.spec.kind.label: c.diagnostics for c in (self.Q, self.A, self.C)}
+    def components_at(self, x) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict]:
+        """(A(x), Q(x), C(x)), bitwise as the three calls give them, and their records.
 
-    def components_at(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A(x), Q(x) and C(x), bitwise as the three calls give them.
-
-        When A and C iterate one base in one direction, both come from one
-        take_limit call that reads each odd-part value once for the two.
+        The records are {label: (n_used, last_step, converged)}, in IterKind
+        order (quadratic, additive, cubic), each array of x's shape, as
+        take_limit returns them.  When A and C iterate one base in one
+        direction, both come from one take_limit call that reads each
+        odd-part value once for the two.
         """
-        A, C = self.A, self.C
-        if A.base is not C.base or A.spec.direction != C.spec.direction:
-            return A(x), self.Q(x), C(x)
-        (va, da), (vc, dc) = take_limit((A.spec, C.spec), A.base, x)
-        return A.settle(va, da), self.Q(x), C.settle(vc, dc)
+        A, Q, C = self.A, self.Q, self.C
+        if A.base is C.base and A.spec.direction == C.spec.direction:
+            a, c = take_limit((A.spec, C.spec), A.base, x)
+        else:
+            a, c = take_limit(A.spec, A.base, x), take_limit(C.spec, C.base, x)
+        q = take_limit(Q.spec, Q.base, x)
+        values = A.scaled(a[0]), Q.scaled(q[0]), C.scaled(c[0])
+        return values, {lim.spec.kind.label: out[1] for lim, out in ((Q, q), (A, a), (C, c))}
 
 
 def decompose_full(
@@ -416,8 +415,8 @@ def decompose_full(
     directions = (j_quadratic, j_additive, j_cubic).  The even part feeds the
     base-k quadratic iteration and the odd part the base-2 pair, each capped
     at max_n; an odd limit is 2^d - coeff times its component (-6 A, 6 C).
-    Nothing is iterated until a component is called, so each component's
-    diagnostics cover exactly the points it was evaluated at.
+    Nothing is iterated until a component is called, and the result holds
+    no state: components_at returns the records of the points it reads.
     """
     even, odd = parity_split(f)
     Q, A, C = (

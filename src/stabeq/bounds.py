@@ -42,7 +42,7 @@ import numpy as np
 from .approximants import Direction, IterKind
 from .equations import EquationParams
 from .errors import CriticalExponentError, InvalidInputError
-from .errors import check_nonnegative, shown
+from .errors import check_nonnegative, checked_power, shown
 from .quasinorm import PNormSpace
 
 _FORMS = ("constant", "sum", "product")
@@ -343,10 +343,11 @@ def stability_bound(kind, ctx: BoundContext, x):
         if kind is BoundKind.QUADRATIC:
             out = (M / (2.0 * k2)) * psi("e", xs) ** ip
         else:  # FULL
+            M8, M3 = (checked_power(M, n, f"the modulus power M^{n}", p) for n in (8, 3))
             psa = psi("a", xs) + psi("a", -xs)
             psc = psi("c", xs) + psi("c", -xs)
             pse = psi("e", xs) + psi("e", -xs)
-            out = (M**8 / 96.0) * (4.0 * psa**ip + psc**ip) + (M**3 / (4.0 * k2)) * pse**ip
+            out = (M8 / 96.0) * (4.0 * psa**ip + psc**ip) + (M3 / (4.0 * k2)) * pse**ip
     if not np.isfinite(out).all():
         raise InvalidInputError(f"{kind.value} bound overflows at x = {xs[~np.isfinite(out)][0]}")
     return float(out) if xs.ndim == 0 else out
@@ -409,15 +410,14 @@ def _closed_constant(ctx: BoundContext, kind: IterKind, r: float, s: float) -> f
         + k2**p * (2.0 ** (lam * p) + 2.0 ** ((r + 1.0) * p))
         + 3.0 ** (s * p)
     )
-    return (num / den) ** (1.0 / p)
+    return checked_power(num / den, 1.0 / p, f"the closed constant of series psi_{kind.letter}", p)
 
 
 def _odd_constant(ctx: BoundContext, kind: IterKind, terms, x_norm: float) -> float:
     """(sum_t C(r_t, s_t)^p x_norm^((r_t + s_t) p))^(1/p) over power terms (r_t, s_t)."""
     p = ctx.space.p
-    return sum(
-        _closed_constant(ctx, kind, r, s) ** p * x_norm ** ((r + s) * p) for r, s in terms
-    ) ** (1.0 / p)
+    total = sum(_closed_constant(ctx, kind, r, s) ** p * x_norm ** ((r + s) * p) for r, s in terms)
+    return checked_power(total, 1.0 / p, f"the closed constant of series psi_{kind.letter}", p)
 
 
 def corollary_constant(name: str, ctx: BoundContext, x_norm: float = 1.0) -> float:
@@ -441,7 +441,7 @@ def corollary_constant(name: str, ctx: BoundContext, x_norm: float = 1.0) -> flo
     r, s = ctx.phi.r, ctx.phi.s
     if name == "quadratic_factor":
         den = _denominator(IterKind.QUADRATIC, ctx, s)
-        return (x_norm ** (s * p) / den) ** (1.0 / p)
+        return checked_power(x_norm ** (s * p) / den, 1.0 / p, "quadratic_factor", p)
     family, flavor = name.split("_")
     kind = next(kind for kind in _ODD_KINDS if kind.label == flavor)
     if family == "gamma":
@@ -468,12 +468,13 @@ def full_bound_power(ctx: BoundContext, x_norm: float) -> float:
         raise InvalidInputError("closed full bound needs a sum or product control")
     select_directions(phi)  # validates bands / critical exponents
     M = ctx.space.modulus
+    M8, M3 = (checked_power(M, n, f"the modulus power M^{n}", ctx.space.p) for n in (8, 3))
     k2 = float(ctx.params.k * ctx.params.k)
-    out = M**8 * phi.theta / (6.0 * k2 * abs(1.0 - k2)) * sum(
+    out = M8 * phi.theta / (6.0 * k2 * abs(1.0 - k2)) * sum(
         _odd_constant(ctx, kind, phi.terms(), x_norm) for kind in _ODD_KINDS
     )
     if not ctx.quad_zero:
-        out += M**3 * phi.theta / 2.0 * corollary_constant("quadratic_factor", ctx, x_norm)
+        out += M3 * phi.theta / 2.0 * corollary_constant("quadratic_factor", ctx, x_norm)
     return float(out)
 
 

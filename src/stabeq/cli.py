@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .approximants import DEFAULT_MAX_N, DEFAULT_TOL
+from .approximants import DEFAULT_MAX_N, DEFAULT_TOL, worst_cases
 from .bounds import BoundContext, bound_table
 from .equations import EquationParams, to_json, verify_solution
 from .errors import CriticalExponentError, InvalidInputError, UnboundablePerturbationError
@@ -139,7 +139,8 @@ def decompose(out, **flags):
     cfg = _build_config(**flags)
     dec = decompose_stage(cfg, make_test_function(cfg))
     xs = cfg.grid.points()
-    A, Q, C = dec.components_at(xs)
+    (A, Q, C), records = dec.components_at(xs)
+    diagnostics = worst_cases(records)
     payload = {
         "x": xs,
         "A": A,
@@ -147,11 +148,10 @@ def decompose(out, **flags):
         "C": C,
         "offsets": dec.offsets,
         "directions": dec.directions,
-        "diagnostics": dec.diagnostics,
+        "diagnostics": diagnostics,
     }
     _emit(json.dumps(to_json(payload), indent=2), out)
-    converged = all(d.converged for d in dec.diagnostics.values())
-    sys.exit(0 if converged else 1)
+    sys.exit(0 if all(d.converged for d in diagnostics.values()) else 1)
 
 
 @main.command()

@@ -51,6 +51,14 @@ def shown(value) -> str:
         return f"an int of {n + 1 + (abs(value) >= 10 ** (n + 1))} digits"
 
 
+def checked_power(base: float, e: float, what: str, p: float) -> float:
+    """float(base) ** float(e), which raises past float64: InvalidInputError naming what and p."""
+    try:
+        return float(base) ** float(e)
+    except OverflowError:
+        raise InvalidInputError(f"{what} overflows float64 at p = {float(p)!r}") from None
+
+
 def check_integer(name: str, value, minimum: int | None = None) -> None:
     """Raise InvalidInputError naming the field unless value is a float64-finite integer >= minimum."""
     if isinstance(value, BOOL_TYPES) or not isinstance(value, Integral):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, check_integer, is_finite_number, shown
+from .errors import InvalidInputError, check_integer, checked_power, is_finite_number, shown
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class PNormSpace:
 
     @property
     def modulus(self) -> float:
-        """Modulus of concavity M = 2^(1/p - 1); equals 1 for p = 1."""
-        return 2.0 ** (1.0 / self.p - 1.0)
+        """Modulus of concavity M = 2^(1/p - 1): 1 at p = 1, past float64 below p = 1/1025."""
+        return checked_power(2.0, 1.0 / self.p - 1.0, "the modulus M = 2^(1/p - 1)", self.p)
 
     def pnorm(self, v: np.ndarray) -> np.ndarray | float:
         """(sum_i |v_i|^p)^(1/p) over the last axis.

@@ -91,12 +91,11 @@ def test_criterion_03_exact_recovery_is_stationary():
     dec = decompose_full(poly_handle(a3, a2, a1), EquationParams(2))
     xs = np.linspace(-5.0, 5.0, 101)
     worst = 0.0
-    for limit, truth in ((dec.A, a1 * xs), (dec.Q, a2 * xs**2), (dec.C, a3 * xs**3)):
-        got = np.asarray(limit(xs))[:, 0]
-        worst = max(worst, np.max(np.abs(got - truth) / np.maximum(1.0, np.abs(truth))))
-    stationary = all(d.n_used == 1 for d in dec.diagnostics.values())
-    ok = worst <= 1e-8 and stationary
-    n_used = sorted(d.n_used for d in dec.diagnostics.values())
+    values, records = dec.components_at(xs)
+    for got, truth in zip(values, (a1 * xs, a2 * xs**2, a3 * xs**3)):
+        worst = max(worst, np.max(np.abs(got[:, 0] - truth) / np.maximum(1.0, np.abs(truth))))
+    n_used = sorted(int(n.max()) for n, _, _ in records.values())
+    ok = worst <= 1e-8 and all((n == 1).all() for n, _, _ in records.values())
     record(
         "03",
         ok,
@@ -196,10 +195,22 @@ def test_criterion_07_norm_laws_hold():
     record("07", worst <= 1e-12, f"max law violation {worst:.3e} (limit 1e-12)")
 
 
+def _law_probes():
+    probes = np.linspace(-4.0, 4.0, 32)
+    return probes, np.random.default_rng(5).permutation(probes)
+
+
+def _law_points():
+    """Every point _component_law_gaps reads a component at: the probes, ys,
+    2 probes, and the arguments a x + b y of the quadratic and cubic laws."""
+    probes, ys = _law_probes()
+    terms = EquationKind.quadratic().terms + EquationKind.cubic().terms
+    return np.concatenate([probes, ys, 2 * probes, *(a * probes + b * ys for _, a, b in terms)])
+
+
 def _component_law_gaps(dec, tol):
     """Max scaled violation of the scaling and equation laws at 32 probes."""
-    probes = np.linspace(-4.0, 4.0, 32)
-    ys = np.random.default_rng(5).permutation(probes)
+    probes, ys = _law_probes()
     gaps = []
 
     for limit, factor in ((dec.Q, 4.0), (dec.A, 2.0), (dec.C, 8.0)):
@@ -239,8 +250,9 @@ def test_criterion_08_recovered_components_obey_their_laws():
         max_n=cfg.max_n,
     )
     noisy_gap = _component_law_gaps(noisy, 1e-6)
-    # asserted after the evaluations: the diagnostics cover the points read
-    assert all(d.converged for d in noisy.diagnostics.values())
+    # Every component converged at every point a law check read.
+    _, records = noisy.components_at(_law_points())
+    assert all(converged.all() for _, _, converged in records.values())
 
     worst = max(exact_gap, noisy_gap)
     record(
@@ -265,8 +277,9 @@ def test_criterion_09_doubling_the_cap_is_idle():
             tol=tol,
             max_n=cap,
         )
-        outs.append([np.asarray(part(xs)) for part in (dec.A, dec.Q, dec.C)])
-        assert all(d.converged for d in dec.diagnostics.values())
+        values, records = dec.components_at(xs)
+        outs.append(values)
+        assert all(converged.all() for _, _, converged in records.values())
     for a, b in zip(*outs):
         worst = max(worst, float(np.max(np.abs(a - b))))
     record("09", worst <= 10.0 * tol, f"max value change {worst:.3e} (limit {10 * tol:.0e})")

@@ -27,9 +27,9 @@ from stabeq import (
     parity_split,
     run_experiment,
     take_limit,
-    to_json,
 )
 from stabeq import approximants, equations
+from stabeq.approximants import worst_cases
 from stabeq.equations import horner_cubic
 from stabeq.harness import decompose
 
@@ -41,6 +41,17 @@ PROBES = np.random.default_rng(1729).uniform(-5.0, 5.0, 32)
 
 def handle(fn):
     return FunctionHandle(lambda xs: np.asarray(fn(xs))[:, None], SPACE1)
+
+
+def worst(records):
+    """The worst case of one limit's per-point records."""
+    return worst_cases({"": records})[""]
+
+
+def worst_limit(spec, f, x):
+    """take_limit's values and the worst case of its per-point records."""
+    vals, records = take_limit(spec, f, x)
+    return vals, worst(records)
 
 
 def sin_perturbed_odd():
@@ -86,13 +97,14 @@ def test_iterate_quadratic_values():
     quartic = handle(lambda xs: xs**4)
     # k = 2, contracting, n = 2: 4^2 * (1/4)^4 = 1/16
     spec = IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, K2, max_n=2)
-    vals, diag = take_limit(spec, quartic, 1.0)
+    vals, (n_used, last_step, converged) = take_limit(spec, quartic, 1.0)
     assert vals[0] == pytest.approx(0.0625, rel=1e-15)
-    assert diag.n_used == 2 and not diag.converged
+    assert n_used.shape == last_step.shape == converged.shape == ()  # the shape of x
+    assert n_used == 2 and not converged
     square = handle(lambda xs: xs**2)
     for max_n in (1, 5):
         spec = IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, K2, max_n=max_n)
-        vals, diag = take_limit(spec, square, 3.0)
+        vals, diag = worst_limit(spec, square, 3.0)
         assert vals[0] == pytest.approx(9.0)
         assert diag == ConvergenceDiagnostics(n_used=1, last_step=0.0, converged=True)
 
@@ -101,7 +113,7 @@ def test_iterate_additive_fixed_on_additive_maps():
     lin = handle(lambda xs: xs)
     # g(x) = f(2x) - 8 f(x) = -6x, invariant under the scaling: level 1 repeats level 0
     for direction in Direction:
-        vals, diag = take_limit(IterationSpec(IterKind.ADDITIVE, direction), lin, np.array([1.0, -2.5]))
+        vals, diag = worst_limit(IterationSpec(IterKind.ADDITIVE, direction), lin, np.array([1.0, -2.5]))
         assert vals[:, 0] == pytest.approx([-6.0, 15.0])
         assert diag == ConvergenceDiagnostics(n_used=1, last_step=0.0, converged=True)
 
@@ -110,7 +122,7 @@ def test_iterate_cubic_fixed_on_cubic_maps():
     cubic = handle(lambda xs: xs**3)
     # h(x) = f(2x) - 2 f(x) = 6x^3
     for direction in Direction:
-        vals, diag = take_limit(IterationSpec(IterKind.CUBIC, direction), cubic, np.array([1.0, -2.5]))
+        vals, diag = worst_limit(IterationSpec(IterKind.CUBIC, direction), cubic, np.array([1.0, -2.5]))
         assert vals[:, 0] == pytest.approx([6.0, -93.75])
         assert diag == ConvergenceDiagnostics(n_used=1, last_step=0.0, converged=True)
 
@@ -155,11 +167,11 @@ def test_iteration_spec_validation():
 def test_take_limit_stationary_on_exact_solution():
     cubic = handle(lambda xs: xs**3)
     spec = IterationSpec(IterKind.CUBIC, Direction.EXPAND)
-    vals, diag = take_limit(spec, cubic, np.array([2.0, -1.5]))
+    vals, (n_used, last_step, converged) = take_limit(spec, cubic, np.array([2.0, -1.5]))
     assert np.allclose(vals[:, 0], [48.0, -20.25], rtol=1e-14)
-    assert diag.n_used == 1
-    assert diag.last_step == 0.0
-    assert diag.converged
+    assert n_used.tolist() == [1, 1]
+    assert last_step.tolist() == [0.0, 0.0]
+    assert converged.tolist() == [True, True]
 
 
 def test_take_limit_contract_matches_taylor_oracle():
@@ -170,10 +182,10 @@ def test_take_limit_contract_matches_taylor_oracle():
     """
     f = sin_perturbed_odd()
     xs = np.array([-3.0, -1.2, 0.7, 2.5])
-    vals_a, diag_a = take_limit(IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT), f, xs)
+    vals_a, diag_a = worst_limit(IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT), f, xs)
     assert np.max(np.abs(vals_a[:, 0] - (-6.06) * xs)) < 1e-7
     assert diag_a.converged
-    vals_c, diag_c = take_limit(IterationSpec(IterKind.CUBIC, Direction.CONTRACT), f, xs)
+    vals_c, diag_c = worst_limit(IterationSpec(IterKind.CUBIC, Direction.CONTRACT), f, xs)
     assert np.max(np.abs(vals_c[:, 0] - 5.99 * xs**3)) < 1e-6
     assert diag_c.converged
 
@@ -192,21 +204,21 @@ def test_quadratic_limit_blows_up_where_its_weight_leaves_float64():
     even, _ = parity_split(FunctionHandle(lambda x: np.sqrt(np.abs(x)), SPACE1))
     xs = np.array([0.7, 1.3])
     spec = IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, EquationParams(10**11))
-    vals, diag = take_limit(spec, even, xs)
+    vals, diag = worst_limit(spec, even, xs)
     assert diag == ConvergenceDiagnostics(n_used=15, last_step=np.inf, converged=False)
     assert same_bits(vals, iterate_reference(spec, even, xs, 14)[0])  # the last finite iterate
     spec3 = IterationSpec(IterKind.QUADRATIC, Direction.CONTRACT, EquationParams(3))
-    assert not take_limit(spec3, even, xs)[1].converged
+    assert not worst_limit(spec3, even, xs)[1].converged
 
 
 def test_take_limit_expand_sees_asymptotic_coefficients():
     """Expanding limits kill the bounded perturbation instead."""
     f = sin_perturbed_odd()
     xs = np.array([-3.0, -1.2, 0.7, 2.5])
-    vals_a, diag_a = take_limit(IterationSpec(IterKind.ADDITIVE, Direction.EXPAND), f, xs)
+    vals_a, diag_a = worst_limit(IterationSpec(IterKind.ADDITIVE, Direction.EXPAND), f, xs)
     assert np.max(np.abs(vals_a[:, 0] - (-6.0) * xs)) < 1e-4
     assert diag_a.converged
-    vals_c, diag_c = take_limit(IterationSpec(IterKind.CUBIC, Direction.EXPAND), f, xs)
+    vals_c, diag_c = worst_limit(IterationSpec(IterKind.CUBIC, Direction.EXPAND), f, xs)
     assert np.max(np.abs(vals_c[:, 0] - 6.0 * xs**3)) < 1e-6
     assert diag_c.converged
 
@@ -214,7 +226,7 @@ def test_take_limit_expand_sees_asymptotic_coefficients():
 def test_take_limit_flags_divergence_at_cap():
     quartic = handle(lambda xs: xs**4)
     spec = IterationSpec(IterKind.ADDITIVE, Direction.EXPAND, max_n=20)
-    vals, diag = take_limit(spec, quartic, np.array([2.0]))
+    vals, diag = worst_limit(spec, quartic, np.array([2.0]))
     assert not diag.converged
     assert diag.n_used == 20
     assert np.isfinite(vals).all()
@@ -224,7 +236,7 @@ def test_take_limit_flags_divergence_at_cap():
 def test_take_limit_keeps_last_finite_value_on_overflow():
     grower = handle(lambda xs: np.expm1(xs))
     spec = IterationSpec(IterKind.ADDITIVE, Direction.EXPAND)
-    vals, diag = take_limit(spec, grower, np.array([5.0]))
+    vals, diag = worst_limit(spec, grower, np.array([5.0]))
     assert not diag.converged
     assert diag.last_step == np.inf
     assert np.isfinite(vals).all()
@@ -234,9 +246,10 @@ def test_take_limit_mixed_batch_isolates_points():
     """A diverging point must not poison converged neighbors in the batch."""
     quartic_plus_cubic = handle(lambda xs: xs**4 + xs**3)
     spec = IterationSpec(IterKind.CUBIC, Direction.EXPAND, max_n=12)
-    vals, diag = take_limit(spec, quartic_plus_cubic, np.array([0.0, 1.0]))
+    vals, (n_used, _, converged) = take_limit(spec, quartic_plus_cubic, np.array([0.0, 1.0]))
     assert vals[0, 0] == 0.0
-    assert not diag.converged  # the x = 1 point keeps growing
+    assert converged.tolist() == [True, False]  # the x = 1 point keeps growing
+    assert n_used.tolist() == [1, 12]
 
 
 def test_floor_stops_expand_iteration_before_cancellation_noise():
@@ -251,7 +264,7 @@ def test_floor_stops_expand_iteration_before_cancellation_noise():
     f = make_test_function(cfg)
     _, odd = parity_split(f)
     spec = IterationSpec(IterKind.ADDITIVE, Direction.EXPAND)
-    vals, diag = take_limit(spec, odd, np.array([-4.8, -4.0, 4.7]))
+    vals, diag = worst_limit(spec, odd, np.array([-4.8, -4.0, 4.7]))
     A = -vals[:, 0] / 6.0
     assert np.max(np.abs(A - np.array([-4.8, -4.0, 4.7]))) < 1e-3
     assert diag.converged
@@ -272,7 +285,7 @@ def test_phase_locked_noise_does_not_fake_early_convergence():
     _, odd = parity_split(f)
     spec = IterationSpec(IterKind.ADDITIVE, Direction.EXPAND, tol=1e-6)
     x = 3.096774193548387
-    vals, diag = take_limit(spec, odd, np.array([x]))
+    vals, diag = worst_limit(spec, odd, np.array([x]))
     assert diag.converged
     assert diag.n_used >= 5  # the locked prefix ends near n = 4
     assert abs(vals[0, 0] - (-6.0 * x)) < 1e-4
@@ -283,8 +296,8 @@ def test_doubling_the_cap_does_not_move_converged_values():
     f = make_test_function(cfg)
     _, odd = parity_split(f)
     for kind in (IterKind.ADDITIVE, IterKind.CUBIC):
-        a, da = take_limit(IterationSpec(kind, Direction.EXPAND, max_n=48), odd, PROBES)
-        b, db = take_limit(IterationSpec(kind, Direction.EXPAND, max_n=96), odd, PROBES)
+        a, da = worst_limit(IterationSpec(kind, Direction.EXPAND, max_n=48), odd, PROBES)
+        b, db = worst_limit(IterationSpec(kind, Direction.EXPAND, max_n=96), odd, PROBES)
         assert da.converged and db.converged
         assert np.array_equal(a, b)
 
@@ -301,19 +314,6 @@ def test_limit_function_scalar_calls_return_fresh_arrays():
     again = lf(1.5)
     assert again is not first
     assert again[0] == first_value
-
-
-def test_limit_function_diagnostics_accumulate():
-    f = sin_perturbed_odd()
-    lf = LimitFunction(IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT), f)
-    fresh = lf.diagnostics
-    assert fresh.n_used == 0 and fresh.converged
-    lf(np.array([0.5, 1.0]))
-    lf(3.0)
-    merged = lf.diagnostics
-    assert merged.n_used >= 1
-    assert merged.converged
-    assert set(to_json(merged)) == {"n_used", "last_step", "converged"}
 
 
 def test_limit_function_handle_normalization():
@@ -334,20 +334,23 @@ def test_decompose_odd_exact_polynomial():
     assert not dec.Q(xs).any()
     assert np.max(np.abs(dec.A(xs)[:, 0] - 5.0 * xs)) < 1e-10
     assert np.max(np.abs(dec.C(xs)[:, 0] - 2.0 * xs**3)) < 1e-9
-    assert all(d.n_used == 1 for d in dec.diagnostics.values())
+    for limit in (dec.Q, dec.A, dec.C):
+        n_used, _, _ = take_limit(limit.spec, limit.base, xs)[1]
+        assert (n_used == 1).all()
 
 
 def test_decompose_full_exact_polynomial():
     f = FunctionHandle.componentwise(SPACE1, horner_cubic, 2.0, -1.0, 5.0)
     dec = decompose_full(f, K2)
     xs = np.linspace(-5, 5, 101)
-    A, Q, C = dec.components_at(xs)
+    (A, Q, C), records = dec.components_at(xs)
     assert np.max(np.abs(A[:, 0] - 5.0 * xs)) < 1e-8 * (1 + np.max(np.abs(5 * xs)))
     assert np.max(np.abs(Q[:, 0] + xs**2)) < 1e-8 * (1 + np.max(xs**2))
     assert np.max(np.abs(C[:, 0] - 2.0 * xs**3)) < 1e-8 * (1 + np.max(np.abs(2 * xs**3)))
-    for diag in dec.diagnostics.values():
-        assert diag.converged
-        assert diag.n_used == 1
+    for n_used, _, converged in records.values():
+        assert n_used.shape == converged.shape == xs.shape
+        assert converged.all()
+        assert (n_used == 1).all()
     assert dec.directions == (Direction.EXPAND, Direction.EXPAND, Direction.EXPAND)
     assert np.array_equal(dec.offsets, f.offset)
 
@@ -356,10 +359,10 @@ def test_decompose_full_reassembles_near_solution():
     cfg = ExperimentConfig(noise=NoiseSpec("bounded_smooth", 0.01, 3))
     f = make_test_function(cfg)
     dec = decompose_full(f, K2)
-    A, Q, C = dec.components_at(PROBES)
+    (A, Q, C), records = dec.components_at(PROBES)
     resid = np.abs(f(PROBES) - (A + Q + C))[:, 0]
     assert np.max(resid) < 0.05  # within the perturbation scale
-    assert all(d.converged for d in dec.diagnostics.values())
+    assert all(converged.all() for _, _, converged in records.values())
 
 
 def test_decompose_full_respects_direction_choice():
@@ -387,7 +390,6 @@ def test_decompose_full_evaluates_nothing_until_a_component_is_called():
     seen.clear()  # the handle's own evaluation at 0
     dec = decompose_full(f, K2)
     assert not seen
-    assert all(d.n_used == 0 for d in dec.diagnostics.values())
     dec.Q(np.array([1.5]))
     assert np.any(np.concatenate(seen) != 0.0)
 
@@ -397,10 +399,11 @@ def test_component_diagnostics_cover_exactly_the_evaluated_points():
     f = make_test_function(cfg)
     dec = decompose_full(f, K2)
     xs = np.array([0.25, -0.5, 1.0])
-    dec.A(xs)
-    _, odd = parity_split(f)
-    _, expected = take_limit(dec.A.spec, odd, xs)
-    assert dec.A.diagnostics == expected
+    _, records = dec.components_at(xs)
+    even, odd = parity_split(f)
+    for limit, base in ((dec.Q, even), (dec.A, odd), (dec.C, odd)):
+        _, expected = take_limit(limit.spec, base, xs)
+        assert all(same_bits(a, b) for a, b in zip(records[limit.spec.kind.label], expected))
 
 
 @settings(max_examples=20, deadline=None)
@@ -413,7 +416,7 @@ def test_decompose_full_recovers_random_polynomials(a3, a2, a1):
     f = FunctionHandle.componentwise(SPACE1, horner_cubic, a3, a2, a1)
     dec = decompose_full(f, K2)
     xs = np.array([-2.0, 0.5, 3.0])
-    A, Q, C = dec.components_at(xs)
+    (A, Q, C), _ = dec.components_at(xs)
     scale = 1.0 + max(abs(a3), abs(a2), abs(a1)) * 27.0
     assert np.max(np.abs(A[:, 0] - a1 * xs)) < 1e-8 * scale
     assert np.max(np.abs(Q[:, 0] - a2 * xs**2)) < 1e-8 * scale
@@ -456,10 +459,7 @@ def take_limit_reference(spec, f, xs):
         if active.size == 0:
             break
         prev[active] = cur[keep]
-    diag = ConvergenceDiagnostics(
-        int(n_used.max(initial=0)), float(last_step.max(initial=0.0)), bool(converged.all())
-    )
-    return result, diag
+    return result, (n_used, last_step, converged)
 
 
 def same_bits(a, b):
@@ -520,12 +520,13 @@ def test_shared_ladder_equals_separate_and_fresh_limits_bitwise(case):
         for kind, cap in zip((IterKind.ADDITIVE, IterKind.CUBIC), caps)
     ]
     joint = take_limit(tuple(specs), odd, xs)
-    for spec, (vals, diag) in zip(specs, joint):
-        alone, alone_diag = take_limit(spec, odd, xs)
-        fresh, fresh_diag = take_limit_reference(spec, odd, xs)
+    for spec, (vals, records) in zip(specs, joint):
+        alone, alone_records = take_limit(spec, odd, xs)
+        fresh, fresh_records = take_limit_reference(spec, odd, xs)
         assert same_bits(vals, alone) and same_bits(vals, fresh)
-        assert diag == alone_diag == fresh_diag
-    diags = [diag for _, diag in joint]
+        for got, *want in zip(records, alone_records, fresh_records):
+            assert all(same_bits(got, w) for w in want)
+    diags = [worst(records) for _, records in joint]
     if case.startswith("expand-cap"):
         assert diags[0].n_used == 5 and not diags[0].converged
     if case == "expand-overflow":
@@ -580,10 +581,15 @@ def test_chunked_limits_equal_the_level_by_level_reference(
         for kind, cap in zip(kinds, caps)
     )
     got = take_limit(specs, base, xs) if odd else (take_limit(specs[0], base, xs),)
-    for spec, (vals, diag) in zip(specs, got):
-        fresh, fresh_diag = take_limit_reference(spec, base, xs)
+    for spec, (vals, records) in zip(specs, got):
+        fresh, fresh_records = take_limit_reference(spec, base, xs)
         assert same_bits(vals, fresh)
-        assert repr(diag) == repr(fresh_diag)  # last_step may be NaN
+        # Each point's n_used, last_step (NaN included) and converged, bit for
+        # bit, against the reference and against a one-point limit there.
+        assert all(same_bits(a, b) for a, b in zip(records, fresh_records))
+        for i in range(xs.size):
+            _, alone = take_limit(spec, base, xs[i : i + 1])
+            assert all(same_bits(a[i : i + 1], b) for a, b in zip(records, alone))
 
 
 @pytest.mark.parametrize("direction", Direction, ids=lambda d: d.name)
@@ -601,7 +607,7 @@ def test_shared_ladder_reads_each_rung_once(direction):
         xs = np.concatenate([xs, [7 * 5e-324, -1e-310, 2.2250738585072014e-308]])
     specs = tuple(IterationSpec(kind, direction) for kind in (IterKind.ADDITIVE, IterKind.CUBIC))
     # n is the last level a point reaches in A or C, from one-point limits.
-    last = [max(take_limit(spec, odd, np.array([x]))[1].n_used for spec in specs) for x in xs]
+    last = [max(int(take_limit(spec, odd, x)[1][0]) for spec in specs) for x in xs]
     assert len(set(last)) > 1
     seen.clear()
     take_limit(specs, odd, xs)
@@ -644,17 +650,20 @@ def test_components_at_equals_the_three_component_calls(monkeypatch, phi, calls)
         approximants, "take_limit", lambda *a: seen.append(a[0]) or take_limit(*a)
     )
     dec = decompose(cfg, f)
-    got = dec.components_at(xs)
+    got, records = dec.components_at(xs)
     assert len(seen) == calls  # A and C share one call unless their directions differ
     assert all(same_bits(a, b) for a, b in zip(got, expected))
-    assert dec.diagnostics == alone.diagnostics
+    assert list(records) == [kind.label for kind in IterKind]
+    for limit in (alone.Q, alone.A, alone.C):
+        _, want = take_limit(limit.spec, limit.base, xs)
+        assert all(same_bits(a, b) for a, b in zip(records[limit.spec.kind.label], want))
 
 
 @pytest.mark.parametrize("dim", [1, 4])
 @pytest.mark.parametrize("phi", [PhiForm(), PhiForm("sum", 2.0, 2.5)])
 def test_limits_do_not_depend_on_the_float_budget(monkeypatch, dim, phi):
     """Chunks of 1, 4 and 1,170 points (1, 1 and 292 at dim 4) give the same
-    limits and diagnostics; sinh blows up at 3 and 20, so last_step is inf."""
+    limits and records; sinh's expanding limits blow up, so last_step is inf."""
     cfg = ExperimentConfig(codomain_dim=dim, k=3, noise=BOUNDED, phi_form=phi)
     f = make_test_function(cfg)
     xs = np.concatenate([np.linspace(-5, 5, 21), [0.0]])
@@ -666,31 +675,36 @@ def test_limits_do_not_depend_on_the_float_budget(monkeypatch, dim, phi):
     for budget in (7, 64, 1 << 14):
         monkeypatch.setattr(equations, "_BLOCK", budget)
         dec = decompose(cfg, f)
-        values = [*dec.components_at(xs), dec.Q(2.5), dec.Q(xs[:0])]
+        got, records = dec.components_at(xs)
         blown = take_limit(specs, sinh, np.array([-2.0, 0.5, 3.0, 20.0, 1.0]))
-        values += [vals for vals, _ in blown]
-        runs.append((values, dec.diagnostics, [diag for _, diag in blown]))
-    assert all(diag.last_step == np.inf for diag in runs[0][2])
-    for values, diagnostics, blown in runs[1:]:
-        assert all(same_bits(a, b) for a, b in zip(values, runs[0][0]))
-        assert diagnostics == runs[0][1] and blown == runs[0][2]
+        runs.append(
+            [*got, dec.Q(2.5), dec.Q(xs[:0]), *(a for rec in records.values() for a in rec)]
+            + [a for vals, rec in blown for a in (vals, *rec)]
+        )
+    assert all(np.isinf(last_step).all() for _, (_, last_step, _) in blown)
+    for arrays in runs[1:]:
+        assert all(same_bits(a, b) for a, b in zip(arrays, runs[0], strict=True))
 
 
 def test_merged_chunks_keep_a_nan_step(monkeypatch):
     """At x = 3e102, A's level 0 is f(2x) - 8 f(x) = inf - inf and level 1
-    is 0, so a limit capped at level 1 stops on a NaN step.  np.max keeps
-    the NaN, over one chunk or over the one record its chunks fill."""
+    is 0, so a limit capped at level 1 stops on a NaN step.  The point's
+    record keeps it over one chunk or over the records its chunks fill, and
+    the worst case keeps it, as np.max does."""
     f = FunctionHandle(lambda xs: (xs**3)[:, None], SPACE1)
     spec = IterationSpec(IterKind.ADDITIVE, Direction.CONTRACT, max_n=1)
     xs = np.array([1.0, 3e102, 2.0])
-    _, diag = take_limit(spec, f, xs)
+    _, records = take_limit(spec, f, xs)
+    assert np.isnan(records[1]).tolist() == [False, True, False]
+    diag = worst(records)
     assert np.isnan(diag.last_step)
     monkeypatch.setattr(equations, "_BLOCK", 7)  # one point per chunk
     _, chunked = take_limit(spec, f, xs)
-    assert repr(chunked) == repr(diag)
-    limit = LimitFunction(spec, f)
-    limit(xs)
-    assert np.isnan(limit.diagnostics.last_step)
+    assert all(same_bits(a, b) for a, b in zip(chunked, records))
+    assert repr(worst(chunked)) == repr(diag)
+    # A NaN anywhere among the steps, first or last, is the worst step.
+    for steps in ([np.nan, 1.0, 2.0], [1.0, 2.0, np.nan]):
+        assert np.isnan(worst(([1, 1, 1], steps, [True] * 3)).last_step)
 
 
 def test_mixed_direction_report_keeps_separate_limits():
@@ -707,8 +721,9 @@ def test_mixed_direction_report_keeps_separate_limits():
         ("C", IterKind.CUBIC, j_c, 1.0 / 6.0),
     ):
         spec = IterationSpec(kind, j, tol=cfg.tol, max_n=cfg.max_n)
-        vals, diag = take_limit_reference(spec, odd, xs)
+        vals, records = take_limit_reference(spec, odd, xs)
         cells = [getattr(row, name) for row in report.rows]
         offset = scale * 0.0  # the limit's signed zero at x = 0
         assert cells == [tuple(v) for v in (scale * vals - offset).tolist()]
+        diag = worst(records)
         assert report.diagnostics["additive" if name == "A" else "cubic"] == diag

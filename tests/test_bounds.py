@@ -17,6 +17,7 @@ from stabeq import (
     CriticalExponentError,
     Direction,
     EquationParams,
+    ExperimentConfig,
     InvalidInputError,
     IterKind,
     PNormSpace,
@@ -25,6 +26,7 @@ from stabeq import (
     corollary_constant,
     full_bound_power,
     psi_tilde_bound,
+    run_experiment,
     select_directions,
     stability_bound,
 )
@@ -855,6 +857,39 @@ def test_full_bound_power_validation():
     for x_norm in (-2.0, np.nan, np.inf):
         with pytest.raises(InvalidInputError):
             full_bound_power(ctx, x_norm)
+
+
+# M = 2^(1/p - 1) has M^8 past float64's range from p = 0.0077 down, and M
+# itself below p = 1/1025: each raises InvalidInputError, never OverflowError.
+SMALL_P = [
+    (0.0078, "full bound overflows at x = -5.0"),
+    (0.0077, "the modulus power M^8 overflows float64 at p = 0.0077"),
+    (0.005, "the modulus power M^8 overflows float64 at p = 0.005"),
+    (1e-300, "the modulus M = 2^(1/p - 1) overflows float64 at p = 1e-300"),
+]
+
+
+@pytest.mark.parametrize("cast", [float, np.float64])
+@pytest.mark.parametrize("p, message", SMALL_P)
+def test_a_small_p_raises_invalid_input_naming_what_overflows(p, message, cast):
+    p = cast(p)  # a numpy float's power overflows to inf where a Python float's raises
+    grid = np.linspace(-5.0, 5.0, 11)
+    for phi in (PowerBound("constant", 1.0), PowerBound("sum", 1.0, 4.0, 4.0)):
+        with pytest.raises(InvalidInputError) as info:
+            stability_bound("full", ctx_for(2, p, phi), grid)
+        assert str(info.value) == message
+        with pytest.raises(InvalidInputError) as info:
+            bound_table(ctx_for(2, p, phi), grid)
+        assert str(info.value) == message
+    with pytest.raises(InvalidInputError) as info:
+        run_experiment(ExperimentConfig(p=p))
+    assert str(info.value) == message
+    # The closed forms take a 1/p-th power too: alpha_additive is past
+    # float64 at p = 0.0078, and at 1e-300 its denominator rounds to 0.
+    ctx = ctx_for(2, p, PowerBound("sum", 1.0, 4.0, 4.0))
+    for closed in (lambda: full_bound_power(ctx, 1.0), lambda: corollary_constant("alpha_additive", ctx)):
+        with pytest.raises((InvalidInputError, CriticalExponentError), match="float64|divides by 0"):
+            closed()
 
 
 # --- bound table ----------------------------------------------------------

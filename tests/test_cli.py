@@ -371,6 +371,30 @@ def test_bound_series_overflowing_at_its_first_term_exits_2(runner):
     assert result.stderr == "error: full bound overflows at x = -1e+100\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("bounds", "--p", "0.0078"), "full bound overflows at x = -5.0"),
+        (("bounds", "--p", "0.0077"), "the modulus power M^8 overflows float64 at p = 0.0077"),
+        (("bounds", "--p", "0.005"), "the modulus power M^8 overflows float64 at p = 0.005"),
+        (("bounds", "--p", "1e-300"), "the modulus M = 2^(1/p - 1) overflows float64 at p = 1e-300"),
+        (("experiment", "--p", "0.0078"), "full bound overflows at x = -5.0"),
+        (("experiment", "--p", "0.0077", "--grid=-1:1:5"), "the modulus power M^8 overflows float64 at p = 0.0077"),
+        (("experiment", "--p", "0.005", "--grid=-1:1:5"), "the modulus power M^8 overflows float64 at p = 0.005"),
+        (("experiment", "--p", "1e-300", "--grid=-1:1:5"), "the modulus M = 2^(1/p - 1) overflows float64 at p = 1e-300"),
+        (
+            ("bounds", "--p", "0.0078", "--phi", "sum:4:4", "--grid=0:1e-300:2"),
+            "the closed constant of series psi_a overflows float64 at p = 0.0078",
+        ),
+    ],
+)
+def test_a_small_p_exits_2_in_one_line(runner, args, message):
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_overflowing_grid_exits_2_naming_the_pair_without_warnings(runner):
     result = invoke(runner, "experiment", "--grid=-1e300:1e300:7", "--format", "json")
     assert result.exit_code == 2

@@ -45,12 +45,13 @@ def test_the_limit_of_a_degree_d_monomial_is_stationary_and_returns_it(kind, dir
     d = kind.degree
     f = FunctionHandle(lambda xs: (xs**d)[:, None], SPACE1)
     dec = decompose_full(f, EquationParams(k), (direction,) * 3)
-    components = dict(zip(("additive", "quadratic", "cubic"), dec.components_at(XS)))
-    for label, vals in components.items():
+    values, records = dec.components_at(XS)
+    for label, vals in zip(("additive", "quadratic", "cubic"), values):
         want = XS**d if label == kind.label else np.zeros_like(XS)
         np.testing.assert_allclose(vals[:, 0], want, rtol=1e-13, atol=1e-13)
-    assert dec.diagnostics[kind.label].n_used == 1
-    assert dec.diagnostics[kind.label].converged
+    n_used, _, converged = records[kind.label]
+    assert (n_used == 1).all()
+    assert converged.all()
 
 
 @pytest.mark.parametrize("kind", list(IterKind))
@@ -79,5 +80,5 @@ def test_the_degree_is_the_critical_exponent_of_the_series(kind):
 def test_diagnostics_are_keyed_by_the_labels_in_member_order():
     f = FunctionHandle(lambda xs: (xs**3 + xs**2 + xs)[:, None], SPACE1)
     dec = decompose_full(f, EquationParams(2))
-    dec.components_at(XS)
-    assert list(dec.diagnostics) == [kind.label for kind in IterKind]
+    _, records = dec.components_at(XS)
+    assert list(records) == [kind.label for kind in IterKind]

@@ -74,6 +74,16 @@ def test_modulus_of_concavity_validation():
             modulus_of_concavity(p)
 
 
+@pytest.mark.parametrize("p", [1e-4, 1e-300, pytest.param(np.float64(1e-4), id="np.float64-0.0001")])
+def test_a_modulus_past_float64_raises_naming_p(p):
+    """2^(1/p - 1) passes float64's range below p = 1/1025."""
+    assert modulus_of_concavity(1.0 / 1024.5) == 2.0**1023.5
+    message = f"the modulus M = 2^(1/p - 1) overflows float64 at p = {float(p)!r}"
+    with pytest.raises(InvalidInputError) as info:
+        modulus_of_concavity(p)
+    assert str(info.value) == message
+
+
 @settings(max_examples=200, deadline=None)
 @given(u=vec_strategy(4), c=st.floats(min_value=-50, max_value=50, allow_nan=False))
 def test_absolute_homogeneity(u, c):
