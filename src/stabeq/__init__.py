@@ -3,9 +3,9 @@ functional equation on p-normed codomains.
 
 The library evaluates the defining difference operator, recovers additive,
 quadratic and cubic approximants by scaled limit iterations, computes the
-explicit error bounds the stability theory provides (both as comparison
-series and in closed form), and ships an experiment harness plus CLI that
-audit the bounds on perturbed test functions.
+explicit error bounds the stability theory provides (from comparison series,
+with the paper's closed constants), and ships an experiment harness plus CLI
+that audit the bounds on perturbed test functions.
 """
 
 from .approximants import (
@@ -24,7 +24,6 @@ from .bounds import (
     PowerBound,
     bound_table,
     corollary_constant,
-    full_bound_power,
     psi_tilde_bound,
     select_directions,
     stability_bound,
@@ -93,7 +92,6 @@ __all__ = [
     "corollary_constant",
     "decompose_full",
     "emit_report",
-    "full_bound_power",
     "make_test_function",
     "modulus_of_concavity",
     "parity_split",

@@ -22,12 +22,13 @@ convergent direction and raises CriticalExponentError at every theta, even
 where its series is zero.  Each recovered component satisfies a bound built
 from M = 2^(1/p-1) and psi^(1/p).
 
-For power controls every series is geometric, and the paper's closed forms
-evaluate the same quantities without summation.  They are one constant at
-control exponents (r, s): epsilon for theta |x|^r |y|^s, and delta, alpha
-and beta are epsilon with the missing exponents set to 0.  The closed forms
-are written out apart from the series code, so tests comparing the two
-routes check one against the other.
+For power controls every series is geometric.  The FULL bound has one
+route, stability_bound over the series; the paper's closed constants serve
+`stabeq bounds`' table and the tests.  They are one constant at control
+exponents (r, s): epsilon for theta |x|^r |y|^s, and delta, alpha and beta
+are epsilon with the missing exponents set to 0.  The closed constants are
+written out apart from the series code, so tests comparing a constant with
+its series check one against the other.
 """
 
 from __future__ import annotations
@@ -361,7 +362,7 @@ _FAMILY = {
 }
 
 CONSTANT_NAMES = tuple(
-    f"{family}_{kind.label}" for family in (*_FAMILY.values(), "gamma") for kind in _ODD_KINDS
+    f"{family}_{kind.label}" for family in _FAMILY.values() for kind in _ODD_KINDS
 ) + ("quadratic_factor",)
 
 
@@ -413,69 +414,30 @@ def _closed_constant(ctx: BoundContext, kind: IterKind, r: float, s: float) -> f
     return checked_power(num / den, 1.0 / p, f"the closed constant of series psi_{kind.letter}", p)
 
 
-def _odd_constant(ctx: BoundContext, kind: IterKind, terms, x_norm: float) -> float:
-    """(sum_t C(r_t, s_t)^p x_norm^((r_t + s_t) p))^(1/p) over power terms (r_t, s_t)."""
-    p = ctx.space.p
-    total = sum(_closed_constant(ctx, kind, r, s) ** p * x_norm ** ((r + s) * p) for r, s in terms)
-    return checked_power(total, 1.0 / p, f"the closed constant of series psi_{kind.letter}", p)
-
-
-def corollary_constant(name: str, ctx: BoundContext, x_norm: float = 1.0) -> float:
+def corollary_constant(name: str, ctx: BoundContext) -> float:
     """Closed-form constant of the power-control bounds.
 
     epsilon_* : control theta |x|^r |y|^s  (denominator |(2^d)^p - 2^((r+s)p)|)
     delta_*   : constant control, epsilon at r = s = 0
     alpha_*   : control theta |x|^r, epsilon at s = 0
     beta_*    : control theta |y|^s, epsilon at r = 0
-    gamma_*   : (alpha^p ||x||^(rp) + beta^p ||x||^(sp))^(1/p), x-dependent
-    quadratic_factor : (||x||^(sp) / |k^(2p) - |k|^(sp)|)^(1/p)
+    quadratic_factor : (1 / |k^(2p) - |k|^(sp)|)^(1/p)
 
     with the flavor (an odd IterKind's label) giving d; r and s are the
-    context control's exponents.  x_norm only matters for the gamma_* and
-    quadratic_factor entries.
+    context control's exponents.
     """
     if name not in CONSTANT_NAMES:
         raise InvalidInputError(f"unknown constant name {name!r}")
-    check_nonnegative("x_norm", x_norm)
     p = ctx.space.p
     r, s = ctx.phi.r, ctx.phi.s
     if name == "quadratic_factor":
         den = _denominator(IterKind.QUADRATIC, ctx, s)
-        return checked_power(x_norm ** (s * p) / den, 1.0 / p, "quadratic_factor", p)
+        return checked_power(1.0 / den, 1.0 / p, "quadratic_factor", p)
     family, flavor = name.split("_")
     kind = next(kind for kind in _ODD_KINDS if kind.label == flavor)
-    if family == "gamma":
-        return _odd_constant(ctx, kind, ((r, 0.0), (0.0, s)), x_norm)
     r_t = r if family in ("alpha", "epsilon") else 0.0
     s_t = s if family in ("beta", "epsilon") else 0.0
     return _closed_constant(ctx, kind, r_t, s_t)
-
-
-def full_bound_power(ctx: BoundContext, x_norm: float) -> float:
-    """Closed-form full bound for a power control at ||x|| = x_norm.
-
-    An odd-part block with prefactor M^8 theta / (6 k^2 |1-k^2|) over the
-    control's live power terms (gamma for a sum of two, alpha or beta for a
-    single power, epsilon for a product) plus, when phi has a live y-term,
-    (M^3 theta / 2) * quadratic_factor.  At p = 1 this is stability_bound(FULL)
-    with each series in closed form.  Below p = 1, FULL roots the symmetrized
-    sum 2 psi and this roots each constant, and it reads FULL / M to FULL on
-    probe controls.  Which composition the theorem gives at p < 1 is open.
-    """
-    check_nonnegative("x_norm", x_norm)
-    phi = ctx.phi
-    if phi.form not in ("sum", "product"):
-        raise InvalidInputError("closed full bound needs a sum or product control")
-    select_directions(phi)  # validates bands / critical exponents
-    M = ctx.space.modulus
-    M8, M3 = (checked_power(M, n, f"the modulus power M^{n}", ctx.space.p) for n in (8, 3))
-    k2 = float(ctx.params.k * ctx.params.k)
-    out = M8 * phi.theta / (6.0 * k2 * abs(1.0 - k2)) * sum(
-        _odd_constant(ctx, kind, phi.terms(), x_norm) for kind in _ODD_KINDS
-    )
-    if not ctx.quad_zero:
-        out += M3 * phi.theta / 2.0 * corollary_constant("quadratic_factor", ctx, x_norm)
-    return float(out)
 
 
 def bound_table(ctx: BoundContext, xs) -> dict:
@@ -499,7 +461,7 @@ def bound_table(ctx: BoundContext, xs) -> dict:
         "s": phi.s,
         "form": phi.form,
         "j": j,
-        "constants": {name: corollary_constant(name, ctx, 1.0) for name in names},
+        "constants": {name: corollary_constant(name, ctx) for name in names},
         "per_x": [
             {"x": float(x), "bound": float(b)} for x, b in zip(xs, per_x)
         ],

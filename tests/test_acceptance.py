@@ -134,7 +134,7 @@ def test_criterion_04_closed_constants_match_series():
             series = psi_tilde_bound(kind, ctx, 1.0) ** (1.0 / p)
             assembled = (k * k * abs(1.0 - k * k)) / (divisor * phi.theta) * series
             flavor = "additive" if kind == "a" else "cubic"
-            closed = corollary_constant(f"{family}_{flavor}", ctx, 1.0)
+            closed = corollary_constant(f"{family}_{flavor}", ctx)
             worst = max(worst, abs(closed - assembled) / assembled)
     elapsed = time.perf_counter() - start
     ok = frozen_ok and worst <= 1e-9 and elapsed < 5.0

@@ -24,7 +24,6 @@ from stabeq import (
     PowerBound,
     bound_table,
     corollary_constant,
-    full_bound_power,
     psi_tilde_bound,
     run_experiment,
     select_directions,
@@ -681,7 +680,7 @@ def test_closed_constants_match_their_series(k, p):
         ctx = ctx_for(k, p, phi)
         series = psi_tilde_bound(kind, ctx, 1.0) ** (1.0 / p)
         assembled = (k * k * abs(1.0 - k * k)) / (divisor * phi.theta) * series
-        closed = corollary_constant(name, ctx, 1.0)
+        closed = corollary_constant(name, ctx)
         assert closed == pytest.approx(assembled, rel=1e-9), (name, k, p)
 
 
@@ -692,9 +691,7 @@ def test_quadratic_factor_matches_series(k, s):
     ctx = ctx_for(k, 1.0, phi)
     series = psi_tilde_bound("e", ctx, 1.0)
     assembled = series / (phi.theta * k * k)
-    assert corollary_constant("quadratic_factor", ctx, 1.0) == pytest.approx(
-        assembled, rel=1e-9
-    )
+    assert corollary_constant("quadratic_factor", ctx) == pytest.approx(assembled, rel=1e-9)
 
 
 def reference_constant(name, k, p, r, s):
@@ -768,34 +765,22 @@ def test_one_closed_constant_matches_the_four_family_numerators(k, p):
                 assert got == pytest.approx(want, rel=1e-15, abs=0.0), (name, r, s)
 
 
-def test_gamma_combines_alpha_and_beta():
-    ctx = ctx_for(2, 1.0, PowerBound("sum", 0.7, 4.0, 4.0))
-    for flavor in ("additive", "cubic"):
-        al = corollary_constant(f"alpha_{flavor}", ctx, 1.0)
-        be = corollary_constant(f"beta_{flavor}", ctx, 1.0)
-        ga = corollary_constant(f"gamma_{flavor}", ctx, 2.0)
-        # p = 1: gamma(x) = alpha x^r + beta x^s
-        assert ga == pytest.approx(al * 2.0**4 + be * 2.0**4, rel=1e-12)
-
-
-def test_gamma_matches_sum_series_at_p_one():
+def test_alpha_and_beta_match_sum_series_at_p_one():
+    """At p = 1 the sum control's psi_a is the alpha and beta series added."""
     phi = PowerBound("sum", 0.7, 4.0, 4.0)
     ctx = ctx_for(2, 1.0, phi)
     x = 1.5
     series = psi_tilde_bound("a", ctx, x)
     assembled = (4.0 * 3.0) / (2.0 * phi.theta) * series
-    assert corollary_constant("gamma_additive", ctx, x) == pytest.approx(
-        assembled, rel=1e-9
-    )
+    alpha, beta = (corollary_constant(f"{family}_additive", ctx) for family in ("alpha", "beta"))
+    closed = (alpha + beta) * x**4
+    assert closed == pytest.approx(assembled, rel=1e-9)
 
 
 def test_corollary_constant_validation():
     ctx = ctx_for(2, 1.0, PowerBound("constant", 1.0))
     with pytest.raises(InvalidInputError):
         corollary_constant("omega_additive", ctx)
-    for x_norm in (-1.0, np.nan, np.inf):
-        with pytest.raises(InvalidInputError):
-            corollary_constant("delta_additive", ctx, x_norm=x_norm)
     crit = ctx_for(2, 1.0, PowerBound("sum", 1.0, 1.0, 0.0))
     with pytest.raises(CriticalExponentError):
         corollary_constant("alpha_additive", crit)
@@ -808,55 +793,52 @@ def test_corollary_constant_validation():
         corollary_constant("alpha_additive", near)
 
 
-# --- full closed form -----------------------------------------------------
+# --- FULL bound ----------------------------------------------------------
 
 
-def test_full_bound_power_matches_series_at_p_one():
-    ctx = ctx_for(2, 1.0, PowerBound("sum", 0.3, 4.0, 4.0))
-    closed = full_bound_power(ctx, 2.0)
-    series = stability_bound("full", ctx, 2.0)
-    assert closed == pytest.approx(17.38095238095238, rel=1e-12)
-    assert series == pytest.approx(closed, rel=1e-9)
+def full_at_p_one(ctx, x):
+    """FULL at p = 1 (M = 1) composed from the closed constants at x > 0.
 
-
-def test_full_bound_power_product_and_single_power():
-    prod = ctx_for(2, 1.0, PowerBound("product", 0.5, 2.0, 2.0))
-    assert full_bound_power(prod, 1.5) == pytest.approx(
-        stability_bound("full", prod, 1.5), rel=1e-9
-    )
-    xonly = ctx_for(2, 1.0, PowerBound("sum", 0.5, 4.0, 0.0))
-    assert full_bound_power(xonly, 1.5) == pytest.approx(
-        stability_bound("full", xonly, 1.5), rel=1e-9
-    )
-    yonly = ctx_for(2, 1.0, PowerBound("sum", 0.5, 0.0, 4.0))
-    assert full_bound_power(yonly, 1.5) == pytest.approx(
-        stability_bound("full", yonly, 1.5), rel=1e-9
-    )
-
-
-def test_full_bound_power_tracks_series_below_p_one():
-    """Below p = 1 the two routes root at different points and drift apart.
-
-    The series route symmetrizes 2 psi inside the 1/p root while the closed
-    route splits the powers first, so neither dominates in general.  They
-    must still agree within the quasi-norm modulus slack M^3.
+    Over the symmetrized series 2 psi, (4 psi_a + psi_c) / 96 is
+    theta / (6 k^2 |1-k^2|) times the odd constants of the control's power
+    terms, each at x^(r+s), and psi_e / (4 k^2) is
+    theta / 2 * quadratic_factor * x^s.
     """
-    ctx = ctx_for(2, 0.5, PowerBound("sum", 0.3, 4.0, 4.0))
-    closed = full_bound_power(ctx, 2.0)
-    series = stability_bound("full", ctx, 2.0)
-    M3 = ctx.space.modulus**3
-    assert closed > 0 and series > 0
-    assert series / M3 <= closed <= series * M3
+    phi, k2 = ctx.phi, float(ctx.params.k**2)
+    family = {
+        (False, False): "delta", (True, False): "alpha", (False, True): "beta", (True, True): "epsilon"
+    }
+    odd = sum(
+        corollary_constant(f"{family[r > 0, s > 0]}_{flavor}", ctx) * x ** (r + s)
+        for r, s in phi.terms()
+        for flavor in ("additive", "cubic")
+    )
+    out = phi.theta / (6.0 * k2 * abs(1.0 - k2)) * odd
+    if not ctx.quad_zero:
+        out += phi.theta / 2.0 * corollary_constant("quadratic_factor", ctx) * x**phi.s
+    return out
 
 
-def test_full_bound_power_validation():
-    const = ctx_for(2, 1.0, PowerBound("constant", 1.0))
-    with pytest.raises(InvalidInputError):
-        full_bound_power(const, 1.0)
-    ctx = ctx_for(2, 1.0, PowerBound("sum", 1.0, 4.0, 4.0))
-    for x_norm in (-2.0, np.nan, np.inf):
-        with pytest.raises(InvalidInputError):
-            full_bound_power(ctx, x_norm)
+def test_full_bound_frozen_at_p_one():
+    ctx = ctx_for(2, 1.0, PowerBound("sum", 0.3, 4.0, 4.0))
+    full = stability_bound("full", ctx, 2.0)
+    assert full == pytest.approx(17.38095238095238, rel=1e-12)
+    assert full_at_p_one(ctx, 2.0) == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        PowerBound("constant", 0.5),
+        PowerBound("product", 0.5, 2.0, 2.0),
+        PowerBound("sum", 0.5, 4.0, 0.0),
+        PowerBound("sum", 0.5, 0.0, 4.0),
+        PowerBound("sum", 0.5, 2.0, 2.5),
+    ],
+)
+def test_full_bound_matches_its_closed_composition_at_p_one(phi):
+    ctx = ctx_for(2, 1.0, phi)
+    assert full_at_p_one(ctx, 1.5) == pytest.approx(stability_bound("full", ctx, 1.5), rel=1e-9)
 
 
 # M = 2^(1/p - 1) has M^8 past float64's range from p = 0.0077 down, and M
@@ -884,12 +866,11 @@ def test_a_small_p_raises_invalid_input_naming_what_overflows(p, message, cast):
     with pytest.raises(InvalidInputError) as info:
         run_experiment(ExperimentConfig(p=p))
     assert str(info.value) == message
-    # The closed forms take a 1/p-th power too: alpha_additive is past
+    # The closed constants take a 1/p-th power too: alpha_additive is past
     # float64 at p = 0.0078, and at 1e-300 its denominator rounds to 0.
     ctx = ctx_for(2, p, PowerBound("sum", 1.0, 4.0, 4.0))
-    for closed in (lambda: full_bound_power(ctx, 1.0), lambda: corollary_constant("alpha_additive", ctx)):
-        with pytest.raises((InvalidInputError, CriticalExponentError), match="float64|divides by 0"):
-            closed()
+    with pytest.raises((InvalidInputError, CriticalExponentError), match="float64|divides by 0"):
+        corollary_constant("alpha_additive", ctx)
 
 
 # --- bound table ----------------------------------------------------------
